@@ -300,6 +300,14 @@ def active_budget() -> Optional[Budget]:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
+def state_allowance() -> Optional[int]:
+    """The tightest ``max_states`` among the active budgets (``None`` when
+    none caps states), so a set-at-a-time loop can admit states up to the
+    first one over the limit before calling :func:`check_states`."""
+    limits = [b.max_states for b in _ACTIVE if b.max_states is not None]
+    return min(limits) if limits else None
+
+
 def check_time(stage: Optional[str] = None) -> None:
     """Cooperative hook: check the wall clock of every active budget."""
     if _PULSE is not None:

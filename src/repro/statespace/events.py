@@ -14,12 +14,17 @@ Semantics of an event ``e`` in global state ``s = (s_1, .., s_L)``:
   disabled in ``s``;
 * otherwise each combination of per-level options ``(t_i, f_i)`` yields a
   transition ``s -> t`` with rate ``weight(e) * prod_i f_i``.
+
+:class:`SuccessorTables` applies the same semantics to a whole set of
+states at once, encoded as ``int64`` mixed-radix codes.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ModelError, StateSpaceError
 from repro.kronecker.descriptor import KroneckerDescriptor
@@ -151,13 +156,13 @@ class EventModel:
                 )
             size = len(self.levels[level - 1])
             for source, options in table.items():
-                if source >= size:
+                if not 0 <= source < size:
                     raise ModelError(
                         f"event {event.name!r}: source {source} outside "
                         f"level {level} of size {size}"
                     )
                 for target, _factor in options:
-                    if target >= size:
+                    if not 0 <= target < size:
                         raise ModelError(
                             f"event {event.name!r}: target {target} outside "
                             f"level {level} of size {size}"
@@ -201,6 +206,54 @@ class EventModel:
         return tuple(
             level.label(s) for level, s in zip(self.levels, state)
         )
+
+    def encode_states(self, states: Sequence[Sequence[int]]) -> np.ndarray:
+        """:meth:`encode` of many states at once, as ``int64`` codes.
+
+        Raises :class:`StateSpaceError` naming the level when a state has
+        the wrong number of components or a substate outside its level —
+        such a state has no code of its own (it would alias another).
+        """
+        if self.potential_size() > np.iinfo(np.int64).max:
+            raise StateSpaceError(
+                f"potential state space of {self.potential_size()} states "
+                "does not fit int64 state codes; use symbolic_reachability"
+            )
+        sizes = self.level_sizes()
+        wrong = next((s for s in states if len(s) != len(sizes)), None)
+        if wrong is not None:
+            raise StateSpaceError(
+                f"state {tuple(wrong)} has {len(wrong)} components, "
+                f"expected one per level ({len(sizes)})"
+            )
+        digits = np.array(states, dtype=np.int64)
+        digits = digits.reshape(len(states), len(sizes))
+        codes = np.zeros(len(states), dtype=np.int64)
+        for level, size in enumerate(sizes):
+            column = digits[:, level]
+            bad = np.flatnonzero((column < 0) | (column >= size))
+            if bad.size:
+                raise StateSpaceError(
+                    f"state {tuple(states[bad[0]])} has substate "
+                    f"{column[bad[0]]} outside level {level + 1} "
+                    f"({self.levels[level].name!r}, size {size})"
+                )
+            codes = codes * size + column
+        return codes
+
+    def state_digits(self, codes: np.ndarray) -> List[np.ndarray]:
+        """Per level (top first), the substates of the states ``codes``."""
+        columns = []
+        remainder = np.asarray(codes, dtype=np.int64)
+        for size in reversed(self.level_sizes()):
+            columns.append(remainder % size)
+            remainder = remainder // size
+        return columns[::-1]
+
+    def decode_states(self, codes: np.ndarray) -> List[Tuple[int, ...]]:
+        """Inverse of :meth:`encode_states`: tuples of Python ints."""
+        columns = self.state_digits(codes)
+        return list(zip(*(column.tolist() for column in columns)))
 
     # ------------------------------------------------------------------
     # transition semantics
@@ -363,3 +416,96 @@ def project_event_model(
         new_events.append(Event(event.name, event.weight, effects))
     initial_labels = model.state_labels(model.initial_state)
     return EventModel(new_levels, new_events, initial_labels)
+
+
+class _LevelTable:
+    """One event's effect on one level, as CSR lookup arrays: the options
+    of local state ``s`` are ``ptr[s]:ptr[s + 1]`` in ``targets`` (already
+    multiplied by the level's place value ``stride``) and ``factors``."""
+
+    __slots__ = ("stride", "size", "ptr", "targets", "factors")
+
+    def __init__(self, stride: int, size: int, table: LevelEffect) -> None:
+        counts = np.zeros(size, dtype=np.int64)
+        targets: List[int] = []
+        factors: List[float] = []
+        for source in sorted(table):
+            options = table[source]
+            counts[source] = len(options)
+            targets.extend(target for target, _factor in options)
+            factors.extend(factor for _target, factor in options)
+        self.stride = stride
+        self.size = size
+        self.ptr = np.concatenate(([0], np.cumsum(counts)))
+        self.targets = np.array(targets, dtype=np.int64) * stride
+        self.factors = np.array(factors, dtype=np.float64)
+
+
+class SuccessorTables:
+    """An event model compiled for set-at-a-time successor generation.
+
+    States are ``int64`` codes in :meth:`EventModel.encode`'s radix.
+    :meth:`successors` applies :meth:`EventModel._fire`'s semantics to a
+    whole array of states: an event is disabled where a touched level has
+    no option, and an option combination is dropped exactly when
+    ``weight * (1.0 * f_1 * f_2 ...)``, multiplied in the same order, is
+    not ``> 0``.
+    """
+
+    def __init__(self, model: EventModel) -> None:
+        sizes = model.level_sizes()
+        strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+        self._events: List[Tuple[float, List[_LevelTable], bool]] = []
+        for event in model.events:
+            tables = [
+                _LevelTable(
+                    strides[level - 1], sizes[level - 1], event.effects[level]
+                )
+                for level in event.levels()
+            ]
+            if any(table.targets.size == 0 for table in tables):
+                continue  # disabled in every state
+            # Products of positive floats are monotone, so when the
+            # smallest factor combination has a positive rate, all do.
+            smallest = 1.0
+            for table in tables:
+                smallest = smallest * float(table.factors.min())
+            filtered = not event.weight * smallest > 0
+            self._events.append((event.weight, tables, filtered))
+
+    def successors(self, codes: np.ndarray) -> np.ndarray:
+        """Targets of every transition out of the states ``codes``
+        (unsorted, with repeats)."""
+        found = [np.empty(0, dtype=np.int64)]
+        # Overflow to inf and NaN rates are legal here, as in ``_fire``.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for weight, tables, filtered in self._events:
+                found.append(self._fire_all(codes, weight, tables, filtered))
+        return np.concatenate(found)
+
+    @staticmethod
+    def _fire_all(
+        codes: np.ndarray,
+        weight: float,
+        tables: List[_LevelTable],
+        filtered: bool,
+    ) -> np.ndarray:
+        """One event fired in every state of ``codes``."""
+        current = codes
+        factor = np.ones(len(codes)) if filtered else None
+        for table in tables:
+            digit = current // table.stride % table.size
+            start = table.ptr[digit]
+            count = table.ptr[digit + 1] - start
+            # Row i expands to options start[i] .. start[i] + count[i];
+            # rows without options disappear (the event is disabled).
+            first = np.cumsum(count) - count
+            option = np.arange(int(count.sum()))
+            option += np.repeat(start - first, count)
+            current = np.repeat(current - digit * table.stride, count)
+            current += table.targets[option]
+            if factor is not None:
+                factor = np.repeat(factor, count) * table.factors[option]
+        if factor is not None:
+            current = current[weight * factor > 0]
+        return current

@@ -297,7 +297,10 @@ class MDDManager:
     def image(self, node: int, event) -> int:
         """The set of states reachable from ``node`` by firing ``event``
         once (:class:`repro.statespace.events.Event` semantics; factors are
-        ignored beyond being positive)."""
+        ignored beyond being positive, and an event of weight 0 never
+        fires)."""
+        if not event.weight > 0:
+            return FALSE
         memo: Dict[int, int] = {}
 
         def walk(current: int, level: int) -> int:

@@ -2,8 +2,9 @@
 
 Two engines produce the same result:
 
-* :func:`reachable_bfs` — explicit breadth-first search over encoded
-  states.  Fast for up to a few hundred thousand states.
+* :func:`reachable_bfs` — explicit breadth-first search, set-at-a-time:
+  each round expands the whole frontier per event over ``int64`` state
+  codes.  Fast for up to a few million states.
 * :func:`reachable_mdd` — symbolic fixpoint on MDDs with per-event image
   computation (chaining).  Keeps the set symbolic, as the paper's symbolic
   state-space generator [10] does.
@@ -17,7 +18,9 @@ state-space sizes ``S1, S2, S3`` in Table 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import StateSpaceError
 from repro.markov.ctmc import CTMC
@@ -25,7 +28,7 @@ from repro.robust import budgets, checkpoint, faults
 from repro.robust.budgets import BudgetExceeded
 from repro.robust.pool import parallel_config
 from repro.robust.shard import sharded_reachable_states
-from repro.statespace.events import EventModel
+from repro.statespace.events import EventModel, SuccessorTables
 from repro.statespace.mdd import MDDManager
 
 
@@ -38,30 +41,50 @@ def _reach_guard(model: EventModel, seeds) -> dict:
     }
 
 
-@dataclass
+@dataclass(eq=False)
 class ReachabilityResult:
-    """The reachable state space of an event model."""
+    """The reachable state space of an event model.
+
+    ``codes`` holds the states' mixed-radix codes
+    (:meth:`EventModel.encode`: top level most significant), sorted, so
+    code order is the lexicographic order of the state tuples.
+    """
 
     model: EventModel
-    states: List[Tuple[int, ...]]  # sorted lexicographically
+    codes: np.ndarray
     engine: str
-    _index: Optional[Dict[Tuple[int, ...], int]] = field(
-        default=None, repr=False
-    )
+    _states: Optional[List[Tuple[int, ...]]] = field(default=None, repr=False)
+
+    @classmethod
+    def from_states(
+        cls, model: EventModel, states: Sequence[Sequence[int]], engine: str
+    ) -> "ReachabilityResult":
+        """The result for an engine that enumerates state tuples."""
+        return cls(model, np.sort(model.encode_states(states)), engine)
+
+    @property
+    def states(self) -> List[Tuple[int, ...]]:
+        """The reachable states as tuples, sorted lexicographically
+        (decoded from ``codes`` on first use)."""
+        if self._states is None:
+            self._states = self.model.decode_states(self.codes)
+        return self._states
 
     @property
     def num_states(self) -> int:
         """Number of reachable states."""
-        return len(self.states)
+        return len(self.codes)
 
     def index_of(self, state: Sequence[int]) -> int:
         """Dense index of a reachable state; raises if unreachable."""
-        if self._index is None:
-            self._index = {s: i for i, s in enumerate(self.states)}
         try:
-            return self._index[tuple(state)]
-        except KeyError:
-            raise StateSpaceError(f"state {tuple(state)} is not reachable") from None
+            code = self.model.encode_states([state])[0]
+        except StateSpaceError:
+            code = -1  # not a state of this model, so not reachable
+        position = int(np.searchsorted(self.codes, code))
+        if position < len(self.codes) and self.codes[position] == code:
+            return position
+        raise StateSpaceError(f"state {tuple(state)} is not reachable")
 
     def level_sizes(self) -> Tuple[int, ...]:
         """Number of *reachable* substates per level (the projections)."""
@@ -70,21 +93,21 @@ class ReachabilityResult:
 
     def level_supports(self) -> List[List[int]]:
         """Per level, the sorted substates that occur in a reachable state."""
-        supports: List[set] = [set() for _ in range(self.model.num_levels)]
-        for state in self.states:
-            for level, substate in enumerate(state):
-                supports[level].add(substate)
-        return [sorted(support) for support in supports]
+        return [
+            np.flatnonzero(np.bincount(digits, minlength=size)).tolist()
+            for digits, size in zip(
+                self.model.state_digits(self.codes), self.model.level_sizes()
+            )
+        ]
 
     def to_ctmc(self) -> CTMC:
         """The CTMC over the reachable states (densely indexed, labeled by
         the per-level label tuples)."""
-        if self._index is None:
-            self._index = {s: i for i, s in enumerate(self.states)}
+        index = {state: i for i, state in enumerate(self.states)}
         triples = []
         for source_index, state in enumerate(self.states):
             for target, rate in self.model.successors(state):
-                triples.append((source_index, self._index[target], rate))
+                triples.append((source_index, index[target], rate))
         labels = [self.model.state_labels(state) for state in self.states]
         return CTMC.from_transitions(
             len(self.states), triples, state_labels=labels
@@ -93,7 +116,29 @@ class ReachabilityResult:
     def potential_indices(self) -> List[int]:
         """Mixed-radix flat indices of the reachable states within the
         potential product space (for restricting flattened MDs)."""
-        return [self.model.encode(state) for state in self.states]
+        return self.codes.tolist()
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes``, sorted.  (Sort and neighbour
+    comparison: ``np.unique``'s hash path is slow for large int64
+    arrays.)"""
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def _unseen(codes: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """The codes absent from the sorted, non-empty ``seen``."""
+    position = np.searchsorted(seen, codes)
+    np.minimum(position, len(seen) - 1, out=position)
+    return codes[seen[position] != codes]
+
+
+def _merge(sorted_a: np.ndarray, sorted_b: np.ndarray) -> np.ndarray:
+    """The sorted union of two disjoint sorted code arrays."""
+    return np.insert(sorted_a, np.searchsorted(sorted_a, sorted_b), sorted_b)
 
 
 def reachable_bfs(
@@ -104,9 +149,15 @@ def reachable_bfs(
 ) -> ReachabilityResult:
     """Explicit BFS from the model's initial state (or a given seed set).
 
-    Cooperates with active :mod:`repro.robust.budgets`: the state count
-    is checked as states are *discovered*, so a state budget fires
-    promptly instead of after full exploration.
+    Each round expands the whole frontier at once
+    (:class:`~repro.statespace.events.SuccessorTables`) and merges the
+    new states into the sorted ``seen`` code array.  Seeds with the wrong
+    arity or a substate outside its level raise :class:`StateSpaceError`.
+
+    Cooperates with active :mod:`repro.robust.budgets` once per round: a
+    round admits new states only up to the first one over the tightest
+    state cap, so a state budget fires at exactly ``limit + 1`` states
+    instead of after full exploration.
 
     ``parallel`` (an int or :class:`~repro.robust.pool.ParallelConfig`)
     shards each frontier round across a fault-tolerant worker pool; the
@@ -120,8 +171,9 @@ def reachable_bfs(
         seeds = [model.initial_state]
     else:
         seeds = [tuple(state) for state in initial]
-    seen = set(seeds)
-    frontier = list(seeds)
+    model.encode_states(seeds)  # raises StateSpaceError on a bad seed
+    seen_states: Sequence[Tuple[int, ...]] = seeds
+    frontier_states: Sequence[Tuple[int, ...]] = seeds
     ck = checkpoint.active()
     key = guard = None
     if ck is not None:
@@ -132,14 +184,14 @@ def reachable_bfs(
             payload = record["payload"]
             if record["complete"]:
                 states = [tuple(s) for s in payload["states"]]
-                return ReachabilityResult(model, states, engine="bfs")
-            seen = {tuple(s) for s in payload["seen"]}
-            frontier = [tuple(s) for s in payload["frontier"]]
+                return ReachabilityResult.from_states(model, states, "bfs")
+            seen_states = [tuple(s) for s in payload["seen"]]
+            frontier_states = [tuple(s) for s in payload["frontier"]]
     if cfg is not None:
         states = sharded_reachable_states(
             model,
-            seen,
-            frontier,
+            set(seen_states),
+            frontier_states,
             cfg,
             ck=ck,
             key=key,
@@ -148,51 +200,58 @@ def reachable_bfs(
         )
         if ck is not None:
             ck.save(key, {"states": states}, guard=guard, complete=True)
-        return ReachabilityResult(model, states, engine="bfs")
-    # position/next_frontier are kept consistent at every budget hook so
-    # the BudgetExceeded handler can snapshot the unprocessed frontier.
-    position = 0
-    next_frontier: List[Tuple[int, ...]] = []
+        return ReachabilityResult.from_states(model, states, "bfs")
+    tables = SuccessorTables(model)
+    seen = _distinct(model.encode_states(seen_states))
+    frontier = _distinct(model.encode_states(frontier_states))
+    # States admitted to ``seen`` this round but not yet in ``frontier``:
+    # the BudgetExceeded handler snapshots them with the frontier.
+    fresh = frontier[:0]
     try:
         budgets.check_states(len(seen), stage="reachability")
-        while frontier:
-            position = 0
-            next_frontier = []
+        while len(frontier):
             budgets.charge_iterations(1, stage="reachability")
-            for position, state in enumerate(frontier):
-                for target, _rate in model.successors(state):
-                    if target not in seen:
-                        seen.add(target)
-                        next_frontier.append(target)
-                        budgets.check_states(len(seen), stage="reachability")
-                        if max_states is not None and len(seen) > max_states:
-                            raise StateSpaceError(
-                                f"state space exceeds max_states={max_states}"
-                            )
-            frontier = next_frontier
-            position = 0
-            next_frontier = []
+            fresh = _unseen(_distinct(tables.successors(frontier)), seen)
+            caps = [
+                cap
+                for cap in (max_states, budgets.state_allowance())
+                if cap is not None
+            ]
+            if caps:  # admit up to the first state over the tightest cap
+                fresh = fresh[: min(caps) + 1 - len(seen)]
+            seen = _merge(seen, fresh)
+            budgets.check_states(len(seen), stage="reachability")
+            if max_states is not None and len(seen) > max_states:
+                raise StateSpaceError(
+                    f"state space exceeds max_states={max_states}"
+                )
+            frontier, fresh = fresh, fresh[:0]
             if ck is not None and ck.tick(key):
                 ck.save(
                     key,
-                    {"seen": sorted(seen), "frontier": sorted(frontier)},
+                    {
+                        "seen": model.decode_states(seen),
+                        "frontier": model.decode_states(frontier),
+                    },
                     guard=guard,
                 )
     except BudgetExceeded:
         if ck is not None:
-            # Re-expanding the in-flight state on resume is idempotent:
-            # its already-recorded successors are in ``seen``.
-            remaining = frontier[position:] + next_frontier
+            # Re-expanding the round's frontier on resume is idempotent:
+            # its already-admitted successors are in ``seen``.
             ck.save(
                 key,
-                {"seen": sorted(seen), "frontier": sorted(remaining)},
+                {
+                    "seen": model.decode_states(seen),
+                    "frontier": model.decode_states(_merge(frontier, fresh)),
+                },
                 guard=guard,
             )
         raise
-    states = sorted(seen)
+    result = ReachabilityResult(model, seen, "bfs")
     if ck is not None:
-        ck.save(key, {"states": states}, guard=guard, complete=True)
-    return ReachabilityResult(model, states, engine="bfs")
+        ck.save(key, {"states": result.states}, guard=guard, complete=True)
+    return result
 
 
 def reachable_mdd(
@@ -219,13 +278,13 @@ def reachable_mdd(
     cfg = parallel_config(parallel)
     if cfg is not None:
         states = _sharded_mdd_states(model, cfg)
-        result = ReachabilityResult(model, states, engine="mdd")
+        result = ReachabilityResult.from_states(model, states, "mdd")
         if return_mdd:
             return result, manager.from_tuples(states), manager
         return result
     current = _chain(manager, model)
     states = sorted(manager.tuples(current))
-    result = ReachabilityResult(model, states, engine="mdd")
+    result = ReachabilityResult.from_states(model, states, "mdd")
     if return_mdd:
         return result, current, manager
     return result
@@ -469,7 +528,7 @@ def reachable_saturation(
     # firing of a higher event is followed by re-closing everything below.
     current = _saturate(manager, model)
     states = sorted(manager.tuples(current))
-    result = ReachabilityResult(model, states, engine="saturation")
+    result = ReachabilityResult.from_states(model, states, "saturation")
     if return_mdd:
         return result, current, manager
     return result

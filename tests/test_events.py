@@ -103,6 +103,24 @@ class TestEventModel:
         with pytest.raises(ModelError):
             EventModel([l1], [bad], [0])
 
+    @pytest.mark.parametrize(
+        "effect",
+        [{-1: [(0, 1.0)]}, {0: [(-1, 1.0)]}],
+        ids=["source", "target"],
+    )
+    def test_event_negative_state_rejected(self, effect):
+        # A negative index would wrap around in the state-code lookup tables.
+        l1 = LevelSpace("a", [0, 1])
+        with pytest.raises(ModelError):
+            EventModel([l1], [Event("e", 1.0, {1: effect})], [0])
+
+    def test_encode_states_matches_encode(self):
+        m = token_ring_model()
+        states = [m.decode(index) for index in range(m.potential_size())]
+        codes = m.encode_states(states)
+        assert codes.tolist() == [m.encode(state) for state in states]
+        assert m.decode_states(codes) == states
+
     def test_kronecker_and_md_agree_with_successors(self):
         m = token_ring_model()
         flat = m.kronecker_descriptor().flat_matrix().toarray()

@@ -147,3 +147,10 @@ class TestImage:
         node = manager.from_tuples([(0, 1, 0)])
         event = Event("e", 1.0, {2: {1: [(2, 0.0)]}})
         assert manager.image(node, event) == FALSE
+
+    def test_zero_weight_event_never_fires(self, manager):
+        # Every rate of a weight-0 event is 0, so the explicit engines
+        # never take it; the symbolic image must agree.
+        node = manager.from_tuples([(0, 1, 0)])
+        event = Event("e", 0.0, {2: {1: [(2, 1.0)]}})
+        assert manager.image(node, event) == FALSE
