@@ -11,6 +11,7 @@ functions are plain callables over them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -50,11 +51,26 @@ class Case:
     update: Update
     name: str = ""
 
-    def probability_in(self, marking: Marking) -> float:
-        """Evaluate the case probability in a marking."""
+    def probability_in(self, marking: Marking, activity: str = "?") -> float:
+        """Evaluate the case probability in a marking.
+
+        ``activity`` names the owning activity in the error raised for a
+        negative or non-finite probability.
+        """
         if callable(self.probability):
-            return float(self.probability(marking))
-        return float(self.probability)
+            value = float(self.probability(marking))
+        else:
+            value = float(self.probability)
+        if not 0.0 <= value < math.inf:
+            if value < 0:
+                raise ModelError(
+                    f"activity {activity!r} case has negative probability"
+                )
+            raise ModelError(
+                f"activity {activity!r} case has non-finite probability "
+                f"{value}"
+            )
+        return value
 
 
 class Activity:
@@ -93,14 +109,19 @@ class Activity:
         self.shared = shared
 
     def rate_in(self, marking: Marking) -> float:
-        """Evaluate the rate in a marking."""
+        """Evaluate the rate in a marking; negative, NaN and infinite
+        rates raise :class:`ModelError`."""
         if callable(self._rate):
             value = float(self._rate(marking))
         else:
             value = float(self._rate)
-        if value < 0:
+        if not 0.0 <= value < math.inf:
+            if value < 0:
+                raise ModelError(
+                    f"activity {self.name!r} produced negative rate {value}"
+                )
             raise ModelError(
-                f"activity {self.name!r} produced negative rate {value}"
+                f"activity {self.name!r} produced non-finite rate {value}"
             )
         return value
 

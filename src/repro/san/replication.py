@@ -138,17 +138,20 @@ def _instantiate(
     def rate(marking: Marking) -> float:
         return activity.rate_in(_view(marking, prefix, private_names))
 
+    name = f"{prefix}.{activity.name}"
     cases = []
     for case in activity.cases:
-        cases.append(_instantiate_case(case, prefix, private_names))
-    return Activity(
-        f"{prefix}.{activity.name}", rate, cases, shared=activity.shared
-    )
+        cases.append(_instantiate_case(case, prefix, private_names, name))
+    return Activity(name, rate, cases, shared=activity.shared)
 
 
-def _instantiate_case(case: Case, prefix: str, private_names: List[str]) -> Case:
+def _instantiate_case(
+    case: Case, prefix: str, private_names: List[str], activity: str
+) -> Case:
     def probability(marking: Marking) -> float:
-        return case.probability_in(_view(marking, prefix, private_names))
+        return case.probability_in(
+            _view(marking, prefix, private_names), activity
+        )
 
     def update(marking: Marking) -> Optional[Marking]:
         updated = case.update(_view(marking, prefix, private_names))

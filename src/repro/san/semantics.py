@@ -11,20 +11,46 @@ their submodel's level.  Shared activities compile to one event per
 substate inside the event is what makes arbitrary joint rate dependence
 between the shared level and the submodel level *exactly* representable in
 Kronecker/MD form — no factorization assumption is needed.
+
+Each submodel compiles in one enumerate-and-record pass: a local search
+over its private markings fires each activity once per context, keeps the
+outcomes, and the event tables are built from those records once the
+level is complete and sorted.
+
+* A shared activity fires in every (private marking, shared marking)
+  pair, since its event depends on both.
+* A local activity fires only in the first and the last shared marking.
+  Its event is built from the first and checked against the last; a
+  disagreement means the ``shared=False`` declaration is wrong.
+
+Firing local activities in two contexts is exact.  Every transition of the
+compiled model is one the search fired, so the level is closed under the
+compiled events.  A correctly declared local activity fires the same way in
+every shared marking, so the level is the one a search over all contexts
+finds.  A mis-declared activity that differs only in a middle shared marking
+escapes the check, as it always did; then only unreachable padding of the
+level can shrink, and the reachable state set is unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ModelError, StateSpaceError
 from repro.san.composition import Join
 from repro.san.model import Activity, Marking
-from repro.statespace.events import Event, EventModel, LevelSpace
+from repro.statespace.events import Event, EventModel, LevelEffect, LevelSpace
 
 _PROBABILITY_TOL = 1e-9
+
+Label = Tuple[int, ...]
+#: Sync effect tables keyed by (shared source, shared target) index pair.
+SyncTables = Dict[Tuple[int, int], LevelEffect]
 
 
 @dataclass
@@ -35,7 +61,7 @@ class CompiledModel:
     declared invariant; they can only originate from unreachable states of
     the over-approximated local spaces (a true invariant is closed under
     reachable transitions), and the count is surfaced so tests can assert
-    it stays plausible.
+    it stays plausible.  ``stats["firings"]`` counts activity evaluations.
     """
 
     join: Join
@@ -72,46 +98,6 @@ def _enumerate_shared(join: Join) -> List[Tuple[int, ...]]:
     return sorted(states)
 
 
-def _enumerate_private(
-    join: Join,
-    submodel_index: int,
-    shared_states: List[Tuple[int, ...]],
-    max_states: Optional[int],
-) -> List[Tuple[int, ...]]:
-    """Local BFS over a submodel's private markings, trying every shared
-    marking as context (the standard over-approximation of the projection:
-    a superset of the exact projection, pruned by the local invariant)."""
-    model = join.submodels[submodel_index]
-    shared_names = join.shared_place_names()
-    private_names = join.private_place_names(submodel_index)
-    initial = _marking_tuple(private_names, model.initial_marking())
-    seen = {initial}
-    frontier = [initial]
-    while frontier:
-        state = frontier.pop()
-        private_marking = dict(zip(private_names, state))
-        for shared in shared_states:
-            full = dict(zip(shared_names, shared))
-            full.update(private_marking)
-            for activity in model.activities:
-                for target_full, _rate in _fire_activity(activity, full):
-                    target = _marking_tuple(private_names, target_full)
-                    if target in seen:
-                        continue
-                    if not model.check_marking(
-                        dict(zip(private_names, target))
-                    ):
-                        continue
-                    seen.add(target)
-                    frontier.append(target)
-                    if max_states is not None and len(seen) > max_states:
-                        raise StateSpaceError(
-                            f"submodel {model.name!r} exceeds "
-                            f"{max_states} local states"
-                        )
-    return sorted(seen)
-
-
 def _fire_activity(
     activity: Activity, marking: Marking
 ) -> List[Tuple[Marking, float]]:
@@ -122,11 +108,7 @@ def _fire_activity(
     outcomes = []
     total_probability = 0.0
     for case in activity.cases:
-        probability = case.probability_in(marking)
-        if probability < 0:
-            raise ModelError(
-                f"activity {activity.name!r} case has negative probability"
-            )
+        probability = case.probability_in(marking, activity.name)
         if probability == 0:
             continue
         target = case.update(dict(marking))
@@ -156,21 +138,10 @@ def compile_join(
     """
     shared_names = join.shared_place_names()
     shared_states = _enumerate_shared(join)
-    shared_index = {state: i for i, state in enumerate(shared_states)}
 
     level_spaces = [LevelSpace("shared", shared_states)]
     level_names = ["shared"]
     level_place_names = [shared_names]
-    private_states: List[List[Tuple[int, ...]]] = []
-    private_indices: List[Dict[Tuple[int, ...], int]] = []
-    for k, model in enumerate(join.submodels):
-        states = _enumerate_private(join, k, shared_states, max_local_states)
-        private_states.append(states)
-        private_indices.append({state: i for i, state in enumerate(states)})
-        level_spaces.append(LevelSpace(model.name, states))
-        level_names.append(model.name)
-        level_place_names.append(join.private_place_names(k))
-
     # Events are merged per submodel: all local activities of a submodel
     # form ONE event (identity on level 1), and all shared activities of a
     # submodel that induce the same shared transition (s1 -> s1') form one
@@ -180,32 +151,22 @@ def compile_join(
     # conditions of Definition 3 can then see the symmetry.
     events: List[Event] = []
     dropped = 0
-    stats = {"local_events": 0, "shared_events": 0}
+    stats = {"local_events": 0, "shared_events": 0, "firings": 0}
+    # A wrong shared=False declaration is raised once every level is
+    # enumerated, so an error met while firing takes precedence over it.
+    declaration_error: Optional[ModelError] = None
     for k, model in enumerate(join.submodels):
         level = k + 2
-        local_table: Dict[int, List[Tuple[int, float]]] = {}
-        sync_tables: Dict[
-            Tuple[int, int], Dict[int, List[Tuple[int, float]]]
-        ] = {}
-        for activity in model.activities:
-            if not activity.shared:
-                table, dropped_here = _compile_local_activity(
-                    join, k, activity, shared_states, private_states[k],
-                    private_indices[k],
-                )
-                dropped += dropped_here
-                for source, options in table.items():
-                    local_table.setdefault(source, []).extend(options)
-            else:
-                grouped, dropped_here = _compile_shared_activity(
-                    join, k, activity, shared_states, shared_index,
-                    private_states[k], private_indices[k],
-                )
-                dropped += dropped_here
-                for pair, table in grouped.items():
-                    merged = sync_tables.setdefault(pair, {})
-                    for source, options in table.items():
-                        merged.setdefault(source, []).extend(options)
+        submodel = _SubmodelPass(join, k, shared_states, max_local_states)
+        submodel.search()
+        if declaration_error is None:
+            declaration_error = submodel.declaration_error()
+        states, local_table, sync_tables = submodel.tables()
+        dropped += submodel.dropped
+        stats["firings"] += submodel.firings
+        level_spaces.append(LevelSpace(model.name, states))
+        level_names.append(model.name)
+        level_place_names.append(join.private_place_names(k))
         if local_table:
             events.append(
                 Event(f"{model.name}.local", 1.0, {level: local_table})
@@ -223,6 +184,8 @@ def compile_join(
                 )
             )
             stats["shared_events"] += 1
+    if declaration_error is not None:
+        raise declaration_error
 
     initial_labels: List[Tuple[int, ...]] = [
         _marking_tuple(shared_names, join.initial_shared_marking())
@@ -244,98 +207,228 @@ def compile_join(
     )
 
 
-def _compile_local_activity(
-    join: Join,
-    submodel_index: int,
-    activity: Activity,
-    shared_states: List[Tuple[int, ...]],
-    private_states: List[Tuple[int, ...]],
-    private_index: Dict[Tuple[int, ...], int],
-):
-    """A ``shared=False`` activity becomes one single-level effect table.
+class _Outcomes:
+    """The kept outcomes of one activity, a row each in firing order:
+    shared marking, source id, shared target, target id, rate.
 
-    The activity is evaluated under two different shared contexts; any
-    disagreement means the ``shared=False`` declaration was wrong.
+    Rows live in flat arrays rather than tuples and floats.  Freeing
+    them then leaves no small objects scattered through memory, and the
+    tables, built last, stay together for the stages that walk them:
+    with tuple records, the stages after compilation at Table 1 J=2
+    (saturation, projection, MD build, lumping) took about 10% longer.
     """
-    model = join.submodels[submodel_index]
-    shared_names = join.shared_place_names()
-    names = join.private_place_names(submodel_index)
-    contexts = [shared_states[0]]
-    if len(shared_states) > 1:
-        contexts.append(shared_states[-1])
-    table: Dict[int, List[Tuple[int, float]]] = {}
-    dropped = 0
-    for source_index, source in enumerate(private_states):
-        reference: Optional[List[Tuple[int, float]]] = None
-        for context in contexts:
-            full = dict(zip(shared_names, context))
-            full.update(dict(zip(names, source)))
-            options: List[Tuple[int, float]] = []
-            for target_full, rate in _fire_activity(activity, full):
-                if _marking_tuple(shared_names, target_full) != context:
-                    raise ModelError(
-                        f"activity {activity.name!r} is declared local "
-                        f"but modifies shared places"
-                    )
-                target = _marking_tuple(names, target_full)
-                target_index = private_index.get(target)
-                if target_index is None or not model.check_marking(
-                    dict(zip(names, target))
-                ):
-                    dropped += 1
-                    continue
-                options.append((target_index, rate))
-            options.sort()
-            if reference is None:
-                reference = options
-            elif reference != options:
-                raise ModelError(
-                    f"activity {activity.name!r} is declared local but its "
-                    f"behaviour depends on shared places"
-                )
-        if reference:
-            table[source_index] = reference
-    return table, dropped
+
+    __slots__ = ("s1", "source", "s1_target", "target", "rate")
+
+    def __init__(self) -> None:
+        self.s1 = array("q")
+        self.source = array("q")
+        self.s1_target = array("q")
+        self.target = array("q")
+        self.rate = array("d")
+
+    def add(
+        self, s1: int, source: int, s1_target: int, target: int, rate: float
+    ) -> None:
+        self.s1.append(s1)
+        self.source.append(source)
+        self.s1_target.append(s1_target)
+        self.target.append(target)
+        self.rate.append(rate)
+
+    def rows(
+        self, rank: np.ndarray, indices: List[int]
+    ) -> Iterator[Tuple[int, int, int, int, float]]:
+        """The rows with ids mapped to level indices (``rank`` as an array,
+        ``indices`` as the list whose int objects the tables share),
+        ordered by shared marking, then source index, then firing order."""
+        s1 = np.frombuffer(self.s1, dtype=np.int64)
+        source = rank[np.frombuffer(self.source, dtype=np.int64)]
+        order = np.argsort(s1 * len(rank) + source, kind="stable")
+        for row in order.tolist():
+            yield (
+                self.s1[row],
+                indices[self.source[row]],
+                self.s1_target[row],
+                indices[self.target[row]],
+                self.rate[row],
+            )
 
 
-def _compile_shared_activity(
-    join: Join,
-    submodel_index: int,
-    activity: Activity,
-    shared_states: List[Tuple[int, ...]],
-    shared_index: Dict[Tuple[int, ...], int],
-    private_states: List[Tuple[int, ...]],
-    private_index: Dict[Tuple[int, ...], int],
-):
-    """A shared activity becomes one event per (shared, shared') pair."""
-    model = join.submodels[submodel_index]
-    shared_names = join.shared_place_names()
-    names = join.private_place_names(submodel_index)
-    level = submodel_index + 2
-    grouped: Dict[Tuple[int, int], Dict[int, List[Tuple[int, float]]]] = {}
-    dropped = 0
-    for s1_index, shared in enumerate(shared_states):
-        shared_marking = dict(zip(shared_names, shared))
-        for source_index, source in enumerate(private_states):
-            full = dict(shared_marking)
-            full.update(dict(zip(names, source)))
-            for target_full, rate in _fire_activity(activity, full):
-                shared_target = _marking_tuple(shared_names, target_full)
-                target = _marking_tuple(names, target_full)
-                s1_target_index = shared_index.get(shared_target)
-                target_index = private_index.get(target)
-                if (
-                    s1_target_index is None
-                    or target_index is None
-                    or not model.check_marking(dict(zip(names, target)))
-                    or not join.check_shared_marking(
-                        dict(zip(shared_names, shared_target))
-                    )
-                ):
-                    dropped += 1
-                    continue
-                table = grouped.setdefault((s1_index, s1_target_index), {})
-                table.setdefault(source_index, []).append(
-                    (target_index, rate)
+class _SubmodelPass:
+    """One submodel's enumerate-and-record pass.
+
+    :meth:`search` explores the submodel's private markings depth first
+    from the initial marking.  It admits every target that passes the
+    submodel's capacities and local invariant (the standard
+    over-approximation of the projection; the initial marking is admitted
+    unchecked) and records each firing's kept outcomes as
+    :class:`_Outcomes` rows, per activity.  A local activity's outcomes
+    are recorded once both contexts agree; otherwise the source marking
+    and the declaration error are.  An outcome whose target fails a check
+    is counted in ``dropped`` (a local activity's once per context).
+    :meth:`tables` builds the event tables from the rows and drops them.
+    """
+
+    def __init__(
+        self,
+        join: Join,
+        submodel_index: int,
+        shared_states: List[Label],
+        max_states: Optional[int],
+    ) -> None:
+        self.model = join.submodels[submodel_index]
+        self.shared_names = join.shared_place_names()
+        self.names = join.private_place_names(submodel_index)
+        self.shared_states = shared_states
+        self.max_states = max_states
+        self.initial = _marking_tuple(
+            self.names, self.model.initial_marking()
+        )
+        #: Admitted labels in admission order; a label's id is its index.
+        self.level: List[Label] = [self.initial]
+        self.dropped = 0
+        self.firings = 0
+        self._outcomes = [_Outcomes() for _ in self.model.activities]
+        self._errors: List[List[Tuple[Label, str]]] = [
+            [] for _ in self.model.activities
+        ]
+        #: Target label -> its id if admitted, -1 if it fails the checks.
+        self._ids: Dict[Label, int] = {}
+        self._frontier: List[int] = [0]
+
+    def search(self) -> None:
+        """Fire the activities from every admitted marking and record."""
+        shared_names = self.shared_names
+        names = self.names
+        level = self.level
+        shared_index = {
+            state: i for i, state in enumerate(self.shared_states)
+        }
+        contexts = [
+            (s1_index, shared, dict(zip(shared_names, shared)))
+            for s1_index, shared in enumerate(self.shared_states)
+        ]
+        last = len(contexts) - 1
+        every = list(enumerate(self.model.activities))
+        shared_only = [(j, act) for j, act in every if act.shared]
+        recorded = self._outcomes
+        errors = self._errors
+        admit = self._admit
+        frontier = self._frontier
+        while frontier:
+            source = frontier.pop()
+            private_marking = dict(zip(names, level[source]))
+            first: Dict[int, Tuple[bool, list]] = {}
+            for s1_index, shared, shared_marking in contexts:
+                full = dict(shared_marking)
+                full.update(private_marking)
+                fires_local = s1_index == 0 or s1_index == last
+                for j, activity in every if fires_local else shared_only:
+                    self.firings += 1
+                    outcomes = _fire_activity(activity, full)
+                    if activity.shared:
+                        add = recorded[j].add
+                        for target_full, rate in outcomes:
+                            target = admit(_marking_tuple(names, target_full))
+                            s1_target = shared_index.get(
+                                _marking_tuple(shared_names, target_full)
+                            )
+                            if target < 0 or s1_target is None:
+                                self.dropped += 1
+                            else:
+                                add(s1_index, source, s1_target, target, rate)
+                        continue
+                    modifies = False
+                    options = []
+                    for target_full, rate in outcomes:
+                        label = _marking_tuple(names, target_full)
+                        target = admit(label)
+                        if _marking_tuple(shared_names, target_full) != shared:
+                            modifies = True
+                        elif target < 0:
+                            self.dropped += 1
+                        else:
+                            options.append((label, rate, target))
+                    # Label order is level order once the level is sorted.
+                    options.sort()
+                    if s1_index == 0:
+                        first[j] = (modifies, options)
+                    if s1_index != last:
+                        continue
+                    first_modifies, first_options = first[j]
+                    if modifies or first_modifies:
+                        errors[j].append(
+                            (level[source], "modifies shared places")
+                        )
+                    elif options != first_options:
+                        errors[j].append(
+                            (
+                                level[source],
+                                "its behaviour depends on shared places",
+                            )
+                        )
+                    else:
+                        add = recorded[j].add
+                        for _label, rate, target in options:
+                            add(0, source, 0, target, rate)
+
+    def declaration_error(self) -> Optional[ModelError]:
+        """The error for the first mis-declared local activity, at its
+        lowest source marking."""
+        for activity, found in zip(self.model.activities, self._errors):
+            if found:
+                return ModelError(
+                    f"activity {activity.name!r} is declared local "
+                    f"but {min(found)[1]}"
                 )
-    return grouped, dropped
+        return None
+
+    def tables(self) -> Tuple[List[Label], LevelEffect, SyncTables]:
+        """The sorted level, its local table and its sync tables.
+
+        Activity by activity, sources in level order: that fixes the key
+        and option order of the merged tables.
+        """
+        level = self.level
+        order = sorted(range(len(level)), key=level.__getitem__)
+        rank = np.empty(len(level), dtype=np.int64)
+        rank[order] = np.arange(len(level))
+        indices = rank.tolist()
+        local_table: LevelEffect = {}
+        sync_tables: SyncTables = {}
+        pending, self._outcomes = self._outcomes, []
+        for activity in self.model.activities:
+            # Each activity's rows are freed once they are in the tables.
+            rows = pending.pop(0).rows(rank, indices)
+            if not activity.shared:
+                for _, source, _, target, rate in rows:
+                    local_table.setdefault(source, []).append((target, rate))
+                continue
+            for s1_index, source, s1_target, target, rate in rows:
+                table = sync_tables.setdefault((s1_index, s1_target), {})
+                table.setdefault(source, []).append((target, rate))
+        return [level[i] for i in order], local_table, sync_tables
+
+    def _admit(self, label: Label) -> int:
+        """The label's id if it passes the submodel's checks, else -1;
+        a new admitted label joins the level and the frontier."""
+        target = self._ids.get(label)
+        if target is not None:
+            return target
+        if not self.model.check_marking(dict(zip(self.names, label))):
+            target = -1
+        elif label == self.initial:
+            target = 0
+        else:
+            target = len(self.level)
+            self.level.append(label)
+            self._frontier.append(target)
+            limit = self.max_states
+            if limit is not None and len(self.level) > limit:
+                raise StateSpaceError(
+                    f"submodel {self.model.name!r} exceeds "
+                    f"{limit} local states"
+                )
+        self._ids[label] = target
+        return target

@@ -106,6 +106,13 @@ def test_rl001_out_of_scope_path_is_clean():
     assert [f for f in report.findings if f.rule == "RL001"] == []
 
 
+def test_rl001_covers_the_san_compiler():
+    # The compiler fixes the level and event-table order later stages inherit.
+    text = _fixture("rl001_positive.py")
+    report = _lint("src/repro/san/fixture_mod.py", text)
+    assert [f.rule for f in report.findings] == ["RL001"] * 4
+
+
 def test_rl001_sorted_iteration_is_clean():
     text = _fixture("rl001_suppressed.py")
     report = _lint("src/repro/partitions/fixture_mod.py", text)

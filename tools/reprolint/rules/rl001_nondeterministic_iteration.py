@@ -18,10 +18,13 @@ from typing import Iterator, Tuple, Type, Union
 from reprolint.core import FileContext, Finding, Rule, is_set_expression
 
 #: Only these subtrees carry the determinism invariant; elsewhere set
-#: iteration is ordinary Python.
+#: iteration is ordinary Python.  The SAN compiler fixes the level order
+#: and event-table order that every later stage inherits, including a run
+#: resumed in a fresh process.
 SCOPED_PREFIXES = (
     "src/repro/partitions",
     "src/repro/lumping",
+    "src/repro/san",
     "src/repro/statespace",
     "src/repro/robust",
 )
