@@ -2,8 +2,11 @@
 
 The paper rejects the "first obvious" key — comparing represented matrices
 of size up to |S3| x |S3| — as prohibitively expensive, and uses the
-formal-sum signature instead.  This bench quantifies that choice on the
-paper-scale J=1 tandem MD and checks the formal key loses nothing here.
+formal-sum signature instead.  This bench quantifies that choice on level
+3 of the small bench tandem (J=2, 4-server hypercube, 2x2 MSMQ) and
+checks the formal key loses nothing there.  On the paper-scale J=1 tandem
+it times the formal key alone (level 2, 2304 substates): the matrix key
+would flatten the whole level-3 space for every key there.
 """
 
 from repro.lumping import comp_lumping_level

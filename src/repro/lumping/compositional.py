@@ -99,54 +99,28 @@ class CompositionalLumpingResult:
             out.append(index_map[partition.block_of(substate)])
         return tuple(out)
 
-    def class_vectors(self) -> List[np.ndarray]:
-        """Per level, the dense class index of every original substate."""
-        return [
-            np.asarray(p.state_class_vector(), dtype=np.int64)
-            for p in self.partitions
-        ]
-
     def project_potential_index(self, index: int) -> int:
         """Map an original potential-space index to the lumped one."""
-        state = self.original.state_tuple(index)
-        classes = self.class_tuple(state)
-        lumped_index = 0
-        for class_index, size in zip(classes, self.lumped.md.level_sizes):
-            lumped_index = lumped_index * size + class_index
-        return lumped_index
+        return int(
+            project_indices(
+                [index], self.original.md.level_sizes, self.partitions
+            )[0]
+        )
 
     def projection_vector(self) -> np.ndarray:
         """For every original state (reachable if restricted, else all
         potential states), the dense index of its lumped state."""
-        class_vectors = self.class_vectors()
-        lumped_sizes = self.lumped.md.level_sizes
-        original_indices = (
-            self.original.reachable
-            if self.original.reachable is not None
-            else range(self.original.potential_size())
+        original = self.original.reachable
+        if original is None:
+            original = np.arange(self.original.potential_size())
+        projected = project_indices(
+            original, self.original.md.level_sizes, self.partitions
         )
-        lumped_reachable = self.lumped.reachable
-        lumped_position: Optional[Dict[int, int]] = None
-        if lumped_reachable is not None:
-            lumped_position = {p: i for i, p in enumerate(lumped_reachable)}
-        out = np.empty(
-            len(original_indices)
-            if not isinstance(original_indices, range)
-            else original_indices.stop,
-            dtype=np.int64,
+        if self.lumped.reachable is None:
+            return projected
+        return np.searchsorted(
+            np.asarray(self.lumped.reachable, dtype=np.int64), projected
         )
-        for position, index in enumerate(original_indices):
-            state = self.original.state_tuple(index)
-            lumped_index = 0
-            for level, substate in enumerate(state):
-                lumped_index = (
-                    lumped_index * lumped_sizes[level]
-                    + int(class_vectors[level][substate])
-                )
-            if lumped_position is not None:
-                lumped_index = lumped_position[lumped_index]
-            out[position] = lumped_index
-        return out
 
     def project_distribution(self, pi: np.ndarray) -> np.ndarray:
         """Aggregate a distribution over original states into the lumped
@@ -160,6 +134,27 @@ class CompositionalLumpingResult:
         out = np.zeros(self.lumped.num_states())
         np.add.at(out, projection, pi)
         return out
+
+
+def project_indices(
+    indices: Sequence[int],
+    level_sizes: Sequence[int],
+    partitions: Sequence[Partition],
+) -> np.ndarray:
+    """Map potential-space indices to the lumped potential space of the
+    per-level ``partitions``: split each index into its mixed-radix
+    digits, replace every digit by its class, and recombine in the
+    lumped radix.  Works in ``int64``, so the indices must fit it, as
+    the explicit state-space engines' codes do."""
+    rest = np.asarray(indices, dtype=np.int64)
+    out = np.zeros_like(rest)
+    place = 1
+    for size, partition in zip(reversed(level_sizes), reversed(partitions)):
+        classes = np.asarray(partition.state_class_vector(), dtype=np.int64)
+        rest, digit = np.divmod(rest, size)
+        out += classes[digit] * place
+        place *= len(partition)
+    return out
 
 
 def _lump_node(
@@ -500,22 +495,9 @@ def apply_partitions(
 
     lumped_reachable = None
     if model.reachable is not None:
-        lumped_sizes = lumped_md.level_sizes
-        class_vectors = [
-            np.asarray(p.state_class_vector(), dtype=np.int64)
-            for p in partitions
-        ]
-        seen = set()
-        for index in model.reachable:
-            state = model.state_tuple(index)
-            lumped_index = 0
-            for level, substate in enumerate(state):
-                lumped_index = (
-                    lumped_index * lumped_sizes[level]
-                    + int(class_vectors[level][substate])
-                )
-            seen.add(lumped_index)
-        lumped_reachable = sorted(seen)
+        lumped_reachable = np.unique(
+            project_indices(model.reachable, md.level_sizes, partitions)
+        ).tolist()
 
     lumped_model = MDModel(
         lumped_md,

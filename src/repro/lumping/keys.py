@@ -16,16 +16,18 @@ sum* ``sum_{n3} r(s2, C2) . R_n3`` represented as a set of
 ``(coefficient, node index)`` pairs, so the algorithm runs on nodes of size
 ``|S2| x |S2|`` instead of matrices of size ``|S3| x |S3|``.
 
-The concrete-matrix variants (``md_node_*_matrix_splitter``) realize the
+The concrete-matrix variant (``md_node_matrix_splitter``) realizes the
 "first obvious way" the paper describes and rejects as prohibitively
-expensive; they exist for the ablation benchmark and as a correctness
-oracle (they are sufficient *and* necessary on the node's represented
+expensive; it exists for the ablation benchmark and as a correctness
+oracle (it is sufficient *and* necessary on the node's represented
 matrices).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+import math
+from collections import Counter
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -99,106 +101,140 @@ def flat_exact_splitter(rate_matrix: sparse.spmatrix) -> SplitterFactory:
 # MD nodes: formal-sum signatures (the paper's local K)
 # ----------------------------------------------------------------------
 
+#: A slice index: slice -> ``(other, child, coefficient)`` records.
+SliceIndex = Dict[int, List[Tuple[int, int, float]]]
 
-def _node_row_index(node: MDNode) -> Dict[int, List[Tuple[int, object]]]:
-    """row -> list of (col, entry)."""
-    by_row: Dict[int, List[Tuple[int, object]]] = {}
-    for r, c, entry in node.entries():
-        by_row.setdefault(r, []).append((c, entry))
-    return by_row
+#: The ``child`` of a terminal node's records (its entries are reals).
+_TERMINAL = -1
 
 
-def _node_col_index(node: MDNode) -> Dict[int, List[Tuple[int, object]]]:
-    """col -> list of (row, entry)."""
-    by_col: Dict[int, List[Tuple[int, object]]] = {}
-    for r, c, entry in node.entries():
-        by_col.setdefault(c, []).append((r, entry))
-    return by_col
+def _terms(node: MDNode, entry) -> Iterable[Tuple[int, float]]:
+    """``(child, coefficient)`` per formal-sum term of ``entry``."""
+    return ((_TERMINAL, entry),) if node.terminal else entry.items()
 
 
-def md_node_ordinary_splitter(node: MDNode) -> SplitterFactory:
-    """``K(R_n2, s2, C2) = {(r(s2, C2), n3)}`` — the formal sum of row
-    ``s2`` over the splitter class, as a signature of quantized
-    ``(node, coefficient)`` pairs (zero-coefficient terms dropped)."""
-    by_row = _node_row_index(node)
-    by_col = _node_col_index(node)
+def _slice_index(node: MDNode, kind: str) -> Tuple[SliceIndex, SliceIndex]:
+    """Index ``node``'s entries by splitter slice — column for the
+    ordinary key, row for the exact key — as ``(other, child,
+    coefficient)`` records, one per formal-sum term, in entry order.
+
+    A splitter visits its slices in ascending order, so it adds up each
+    ``(other, child)`` sum in slice order, where ``FormalSum.accumulate``
+    added it in entry order.  Up to two terms the order cannot change
+    the rounding; the second index maps each ``other`` that has a longer
+    sum out of slice order to its ``(slice, child, coefficient)`` records
+    in entry order, to be summed that way.
+    """
+    slices: SliceIndex = {}
+    last: Dict[int, int] = {}
+    late = set()
+    for row, col, entry in node.entries():
+        slice_, other = (col, row) if kind == "ordinary" else (row, col)
+        if last.get(other, -1) > slice_:
+            late.add(other)
+        last[other] = slice_
+        records = slices.setdefault(slice_, [])
+        for child, coefficient in _terms(node, entry):
+            records.append((other, child, coefficient))
+    unordered: SliceIndex = {}
+    for row, col, entry in node.entries() if late else ():
+        slice_, other = (col, row) if kind == "ordinary" else (row, col)
+        if other in late:
+            unordered.setdefault(other, []).extend(
+                (slice_, child, coefficient)
+                for child, coefficient in _terms(node, entry)
+            )
+    for other, records in list(unordered.items()):
+        if max(Counter(child for _s, child, _c in records).values()) < 3:
+            del unordered[other]
+    return slices, unordered
+
+
+def _accumulate(
+    slices: SliceIndex, members: Iterable[int]
+) -> Dict[int, Dict[int, float]]:
+    """``other -> {child: sum}`` over the records of ``members``'
+    slices, added in member order."""
+    sums: Dict[int, Dict[int, float]] = {}
+    for member in members:
+        for other, child, coefficient in slices.get(member, ()):
+            terms = sums.get(other)
+            if terms is None:
+                sums[other] = {child: coefficient}
+            else:
+                terms[child] = terms.get(child, 0.0) + coefficient
+    return sums
+
+
+def _signer(terminal: bool) -> Callable[[Dict[int, float]], Hashable]:
+    """The key of one ``{child: sum}``: ``quantize(total)`` on a terminal
+    node, else the sorted ``(child, quantize(sum))`` pairs with exact
+    zeros dropped — ``FormalSum.signature``.  Quantizing goes through a
+    memo (formatting a float dominates otherwise)."""
+    memo: Dict[float, float] = {}
+
+    def q(value: float) -> float:
+        out = memo.get(value)
+        if out is None:
+            out = memo[value] = quantize(value)
+        return out
+
+    def sign(terms: Dict[int, float]) -> Hashable:
+        if terminal:
+            return q(terms[_TERMINAL])
+        if len(terms) == 1:
+            ((child, value),) = terms.items()
+            return ((child, q(value)),) if value != 0.0 else ()
+        return tuple(
+            sorted((child, q(v)) for child, v in terms.items() if v != 0.0)
+        )
+
+    return sign
+
+
+def md_node_splitter(node: MDNode, kind: str) -> SplitterFactory:
+    """The formal-sum key of ``node``, indexed once for a whole level.
+
+    * ordinary: ``K(R_n2, s2, C2) = {(r(s2, C2), n3)}`` — the formal sum
+      of row ``s2`` over the splitter class;
+    * exact: ``K(R_n2, s2, C2) = {(r(C2, s2), n3)}`` — the column sum
+      (Eq. (5) of Definition 3).
+
+    Each splitter sums its slices' records per ``(state, child)`` in
+    plain dicts; a state no record reaches keys like an all-zero sum,
+    ``()`` (or ``0.0`` on a terminal node).
+    """
+    slices, unordered = _slice_index(node, kind)
+    sign = _signer(node.terminal)
+    default: Hashable = 0.0 if node.terminal else ()
 
     def factory(members: Tuple[int, ...]):
-        member_set = set(members)
-        touched = sorted(
-            {
-                r
-                for col in members
-                for r, _entry in by_col.get(col, ())
-            }
-        )
-        cache: Dict[int, Hashable] = {}
-
-        def key(state: int) -> Hashable:
-            cached = cache.get(state)
-            if cached is not None:
-                return cached
-            if node.terminal:
-                total = 0.0
-                for col, entry in by_row.get(state, ()):
-                    if col in member_set:
-                        total += entry
-                result: Hashable = quantize(total)
-            else:
-                cols = tuple(
-                    col
-                    for col, _entry in by_row.get(state, ())
-                    if col in member_set
-                )
-                result = node.row_sum_over(state, cols).signature
-            cache[state] = result
-            return result
-
-        return key, touched
+        sums = _accumulate(slices, members)
+        if unordered:
+            member_set = set(members)
+            for other in unordered.keys() & sums.keys():
+                terms: Dict[int, float] = {}
+                for slice_, child, coefficient in unordered[other]:
+                    if slice_ in member_set:
+                        terms[child] = terms.get(child, 0.0) + coefficient
+                sums[other] = terms
+        keys = {state: sign(terms) for state, terms in sums.items()}
+        return (lambda state: keys.get(state, default)), keys.keys()
 
     return factory
 
 
-def md_node_exact_splitter(node: MDNode) -> SplitterFactory:
-    """``K(R_n2, s2, C2) = {(r(C2, s2), n3)}`` — the transposed variant
-    for exact lumpability (Eq. (5) of Definition 3)."""
-    by_col = _node_col_index(node)
-    by_row = _node_row_index(node)
-
-    def factory(members: Tuple[int, ...]):
-        member_set = set(members)
-        touched = sorted(
-            {
-                c
-                for row in members
-                for c, _entry in by_row.get(row, ())
-            }
-        )
-        cache: Dict[int, Hashable] = {}
-
-        def key(state: int) -> Hashable:
-            cached = cache.get(state)
-            if cached is not None:
-                return cached
-            if node.terminal:
-                total = 0.0
-                for row, entry in by_col.get(state, ()):
-                    if row in member_set:
-                        total += entry
-                result: Hashable = quantize(total)
-            else:
-                rows = tuple(
-                    row
-                    for row, _entry in by_col.get(state, ())
-                    if row in member_set
-                )
-                result = node.col_sum_over(rows, state).signature
-            cache[state] = result
-            return result
-
-        return key, touched
-
-    return factory
+def row_sum_signatures(node: MDNode, size: int) -> List[Hashable]:
+    """Per row of ``node``, the key of its sum over all columns (added in
+    column order, as ``MDNode.row_sum_over`` does): one pass over the
+    entries for the exact ``P_ini``."""
+    slices, _unordered = _slice_index(node, "ordinary")
+    sums = _accumulate(slices, sorted(slices))
+    sign = _signer(node.terminal)
+    default: Hashable = 0.0 if node.terminal else ()
+    return [
+        sign(sums[row]) if row in sums else default for row in range(size)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -232,66 +268,31 @@ def _entry_matrix(
     return sparse.csr_matrix(total)
 
 
-def md_node_ordinary_matrix_splitter(
+def md_node_matrix_splitter(
     md: MatrixDiagram,
     node: MDNode,
+    kind: str,
     flat_cache: Optional[Dict[int, sparse.csr_matrix]] = None,
 ) -> SplitterFactory:
-    """``K(R_n2, s2, C2) = bar(R)_n2(s2, C2)`` — the *represented matrix*
-    of the row sum.  Sufficient and necessary on the node level, but
+    """``K(R_n2, s2, C2) = bar(R)_n2(s2, C2)`` (ordinary) or
+    ``bar(R)_n2(C2, s2)`` (exact) — the *represented matrix* of the row
+    or column sum.  Sufficient and necessary on the node level, but
     requires flattening children (the trade-off of Section 4)."""
     if flat_cache is None:
         flat_cache = {}
-    by_row = _node_row_index(node)
-    import math
-
-    dim = (
-        1
-        if node.terminal
-        else math.prod(md.level_sizes[node.level :])
-    )
+    by_state: Dict[int, List[Tuple[int, object]]] = {}
+    for row, col, entry in node.entries():
+        state, other = (row, col) if kind == "ordinary" else (col, row)
+        by_state.setdefault(state, []).append((other, entry))
+    dim = 1 if node.terminal else math.prod(md.level_sizes[node.level :])
 
     def factory(members: Tuple[int, ...]):
         member_set = set(members)
 
         def key(state: int) -> Hashable:
             total = sparse.csr_matrix((dim, dim))
-            for col, entry in by_row.get(state, ()):
-                if col in member_set:
-                    total = total + _entry_matrix(
-                        md, entry, node.terminal, flat_cache, dim
-                    )
-            return _matrix_signature(total)
-
-        return key, None
-
-    return factory
-
-
-def md_node_exact_matrix_splitter(
-    md: MatrixDiagram,
-    node: MDNode,
-    flat_cache: Optional[Dict[int, sparse.csr_matrix]] = None,
-) -> SplitterFactory:
-    """Transposed concrete-matrix key for exact lumpability."""
-    if flat_cache is None:
-        flat_cache = {}
-    by_col = _node_col_index(node)
-    import math
-
-    dim = (
-        1
-        if node.terminal
-        else math.prod(md.level_sizes[node.level :])
-    )
-
-    def factory(members: Tuple[int, ...]):
-        member_set = set(members)
-
-        def key(state: int) -> Hashable:
-            total = sparse.csr_matrix((dim, dim))
-            for row, entry in by_col.get(state, ()):
-                if row in member_set:
+            for other, entry in by_state.get(state, ()):
+                if other in member_set:
                     total = total + _entry_matrix(
                         md, entry, node.terminal, flat_cache, dim
                     )

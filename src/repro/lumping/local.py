@@ -13,10 +13,9 @@ from typing import Dict, Hashable, Optional
 
 from repro.errors import LumpingError
 from repro.lumping.keys import (
-    md_node_exact_matrix_splitter,
-    md_node_exact_splitter,
-    md_node_ordinary_matrix_splitter,
-    md_node_ordinary_splitter,
+    md_node_matrix_splitter,
+    md_node_splitter,
+    row_sum_signatures,
 )
 from repro.lumping.md_model import MDModel
 from repro.lumping.refinement import comp_lumping
@@ -44,22 +43,17 @@ def initial_partition_exact(model: MDModel, level: int) -> Partition:
     formal-sum representation of condition (4) of Definition 3."""
     md = model.md
     initial_factors = model.level_initial[level - 1]
-    nodes = sorted(md.nodes_at(level).items())
     size = md.level_size(level)
-    all_cols = tuple(range(size))
-    row_signatures: Dict[int, tuple] = {}
-    for state in range(size):
-        signature = []
-        for index, node in nodes:
-            entry = node.row_sum_over(state, all_cols)
-            if node.terminal:
-                signature.append((index, quantize(float(entry))))
-            else:
-                signature.append((index, entry.signature))
-        row_signatures[state] = tuple(signature)
+    per_node = [
+        (index, row_sum_signatures(node, size))
+        for index, node in sorted(md.nodes_at(level).items())
+    ]
 
     def key(state: int) -> Hashable:
-        return (quantize(float(initial_factors[state])), row_signatures[state])
+        return (
+            quantize(float(initial_factors[state])),
+            tuple((index, rows[state]) for index, rows in per_node),
+        )
 
     return Partition.from_key(size, key)
 
@@ -114,24 +108,25 @@ def comp_lumping_level(
         raise LumpingError(
             f"initial partition over {initial.n} states, level has {size}"
         )
-    nodes = sorted(md.nodes_at(level).items())
+    # One key factory per node, indexed once for the whole level (and
+    # before any pool forks, so the workers inherit the indexes).
     flat_cache: Dict = {}
-
-    def splitter_for(node):
-        if key == "formal":
-            if kind == "ordinary":
-                return md_node_ordinary_splitter(node)
-            return md_node_exact_splitter(node)
-        if kind == "ordinary":
-            return md_node_ordinary_matrix_splitter(md, node, flat_cache)
-        return md_node_exact_matrix_splitter(md, node, flat_cache)
+    splitters = [
+        (
+            index,
+            md_node_splitter(node, kind)
+            if key == "formal"
+            else md_node_matrix_splitter(md, node, kind, flat_cache),
+        )
+        for index, node in sorted(md.nodes_at(level).items())
+    ]
 
     cfg = parallel_config(parallel)
     if cfg is not None:
         return parallel_refinement_rounds(
             size,
-            nodes,
-            splitter_for,
+            splitters,
+            lambda splitter: splitter,
             initial,
             strategy,
             max_rounds,
@@ -142,9 +137,9 @@ def comp_lumping_level(
     rounds = 0
     while True:
         blocks_before = len(partition)
-        for _index, node in nodes:
+        for _index, splitter in splitters:
             partition = comp_lumping(
-                size, splitter_for(node), partition, strategy=strategy
+                size, splitter, partition, strategy=strategy
             )
         rounds += 1
         if len(partition) == blocks_before:

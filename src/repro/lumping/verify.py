@@ -8,12 +8,13 @@ ground truth the algorithms are checked against.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from repro.errors import LumpingError
+from repro.lumping.compositional import project_indices
 from repro.lumping.md_model import MDModel
 from repro.matrixdiagram.md import MatrixDiagram
 from repro.matrixdiagram.operations import flatten_node
@@ -106,25 +107,11 @@ def global_product_partition(
     for partition, size in zip(level_partitions, level_sizes):
         if partition.n != size:
             raise LumpingError("level partition size mismatch")
-    class_vectors = [
-        partition.state_class_vector() for partition in level_partitions
-    ]
-    n = math.prod(level_sizes)
-    labels: List[Tuple[int, ...]] = []
-    for index in range(n):
-        rest = index
-        digits = []
-        for size in reversed(level_sizes):
-            digits.append(rest % size)
-            rest //= size
-        digits.reverse()
-        labels.append(
-            tuple(
-                class_vectors[level][digit]
-                for level, digit in enumerate(digits)
-            )
-        )
-    return Partition.from_labels(labels)
+    # Class tuples and lumped mixed-radix indices determine each other.
+    labels = project_indices(
+        np.arange(math.prod(level_sizes)), level_sizes, level_partitions
+    )
+    return Partition.from_labels(labels.tolist())
 
 
 def check_local_ordinary(
@@ -284,8 +271,10 @@ def verify_compositional_result(
         expected = aggregated / sizes[:, None]
     # The lumped MD's state order is the mixed-radix order of class tuples;
     # align via the projection of each representative.
+    firsts = [block[0] for block in global_partition.blocks()]
     order = np.empty(k, dtype=np.int64)
-    for block in global_partition.blocks():
-        order[class_of[block[0]]] = result.project_potential_index(block[0])
+    order[[class_of[s] for s in firsts]] = project_indices(
+        firsts, original.md.level_sizes, result.partitions
+    )
     reordered = flat_lumped[np.ix_(order, order)]
     return bool(np.abs(reordered - expected).max() <= rtol * max(1.0, np.abs(expected).max()))

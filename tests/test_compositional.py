@@ -1,6 +1,9 @@
 """Tests for the full compositional lumping algorithm (Figure 3b) —
 Theorems 3 and 4 exercised end to end."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,15 @@ from repro.lumping.verify import (
 )
 from repro.markov import CTMC, MarkovRewardProcess, steady_state
 from repro.matrixdiagram import flatten, md_from_kronecker_terms
+from repro.models import TandemParams, build_tandem, tandem_md_model
+from repro.models.tandem import projected_event_model
+from repro.statespace import reachable_bfs
+
+#: sha256 of the Table 1 J=1 per-level partitions (``canonical()`` blocks,
+#: JSON-encoded) — the coarsest ordinary lumping, levels 3 x 286 x 35.
+TABLE1_J1_PARTITIONS_SHA256 = (
+    "281b6e2dcc3216e9b33ef1a6b0a321dbeec8b8fc9cbb34dd1855a2ca562ae489"
+)
 
 
 class TestSingleLevelTheorems:
@@ -187,3 +199,21 @@ class TestSmallTandem:
     def test_tandem_exact_lumping_verified(self, small_tandem):
         result = compositional_lump(small_tandem["model"], "exact")
         assert verify_compositional_result(result, max_states=5000)
+
+
+def test_table1_j1_lumping_pinned():
+    """Table 1 J=1: 278,528 reachable states lump to 3,040, with the
+    per-level partitions pinned block for block."""
+    params = TandemParams(jobs=1)
+    compiled = build_tandem(params)
+    reach = reachable_bfs(compiled.event_model)
+    reach.model = projected_event_model(compiled, reach)
+    model = tandem_md_model(reach.model, params, reachable=reach)
+    result = compositional_lump(model, "ordinary")
+    assert len(result.lumped.reachable) == 3040
+    assert result.lumped.md.level_sizes == (3, 286, 35)
+    canonical = json.dumps(
+        [[list(block) for block in p.canonical()] for p in result.partitions]
+    )
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    assert digest == TABLE1_J1_PARTITIONS_SHA256
