@@ -26,7 +26,6 @@ from repro.lumping.md_model import MDModel
 from repro.markov.solvers import steady_state
 from repro.markov.transient import transient_distribution
 from repro.robust.budgets import Budget
-from repro.robust.pool import autodegrade_parallel
 from repro.robust.report import RunReport
 
 
@@ -161,7 +160,6 @@ def lump_and_solve(
     checkpoint_keep_last: Optional[int] = None,
     supervised: bool = False,
     supervisor=None,
-    parallel=None,
     certify: bool = False,
     certificate_tol: Optional[float] = None,
     lumping: Optional[CompositionalLumpingResult] = None,
@@ -195,15 +193,6 @@ def lump_and_solve(
     degradation ladder — see :mod:`repro.robust.supervisor`.
     ``supervisor`` is an optional
     :class:`~repro.robust.supervisor.SupervisorConfig`.
-
-    With ``parallel=N`` (an int >= 2 or a
-    :class:`~repro.robust.pool.ParallelConfig`) the per-level refinement
-    fans out to a fault-tolerant worker pool
-    (:mod:`repro.robust.pool`); results merge deterministically, so the
-    solution is bitwise-identical to the serial one.  When combined with
-    ``robust``/``supervised``, every worker crash, retry, reassignment,
-    and degradation lands in the returned
-    :class:`~repro.robust.report.RunReport`.
 
     With ``certify=True`` the solved vector is certified
     (:mod:`repro.robust.certify`): NaN/Inf guards, probability-mass
@@ -256,7 +245,6 @@ def lump_and_solve(
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             config=supervisor,
-            parallel=parallel,
             certify=certify,
             certificate_tol=certificate_tol,
         )
@@ -271,8 +259,7 @@ def lump_and_solve(
                 result = lumping
             else:
                 result = compositional_lump(
-                    model, kind=kind, key=key, iterate=iterate,
-                    parallel=autodegrade_parallel(parallel),
+                    model, kind=kind, key=key, iterate=iterate
                 )
             lumped_ctmc = result.lumped.flat_ctmc()
             if not lumped_ctmc.is_irreducible():
@@ -328,7 +315,6 @@ def lump_and_solve(
         resume=resume,
         checkpoint_interval=checkpoint_interval,
         checkpoint_keep_last=checkpoint_keep_last,
-        parallel=parallel,
         certify=certify,
         certificate_tol=certificate_tol,
         lumping=lumping,
@@ -348,7 +334,6 @@ def _lump_and_solve_supervised(
     checkpoint_dir: Optional[str],
     resume: bool,
     config=None,
-    parallel=None,
     certify: bool = False,
     certificate_tol: Optional[float] = None,
 ) -> LumpedSolution:
@@ -375,7 +360,6 @@ def _lump_and_solve_supervised(
             checkpoint_interval=ctx.checkpoint_interval,
             checkpoint_keep_last=ctx.checkpoint_keep_last,
             degrade=level.lumping_degrade,
-            parallel=parallel,
             certify=certify,
             certificate_tol=certificate_tol,
         )
@@ -407,7 +391,6 @@ def _lump_and_solve_robust(
     checkpoint_interval: Optional[int] = None,
     checkpoint_keep_last: Optional[int] = None,
     degrade: bool = True,
-    parallel=None,
     certify: bool = False,
     certificate_tol: Optional[float] = None,
     lumping: Optional[CompositionalLumpingResult] = None,
@@ -426,11 +409,6 @@ def _lump_and_solve_robust(
 
     if report is None:
         report = RunReport()
-    cfg = autodegrade_parallel(parallel, report)
-    if cfg is not None and cfg.report is None:
-        # Worker-pool events (crashes, retries, reassignments,
-        # degradations) land in the same run report as everything else.
-        cfg.report = report
     if solver_chain is None:
         # Start at the requested method, then the remaining defaults.
         solver_chain = [method] + [
@@ -449,7 +427,7 @@ def _lump_and_solve_robust(
             else:
                 result = compositional_lump(
                     model, kind=kind, key=key, iterate=iterate,
-                    degrade=degrade, report=report, parallel=cfg,
+                    degrade=degrade, report=report,
                 )
             if result.skipped_levels:
                 stage.status = "degraded"

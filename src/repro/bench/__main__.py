@@ -4,39 +4,18 @@ Usage::
 
     python -m repro.bench --jobs 1,2 [--cube-dim 3] [--kind ordinary]
                           [--engine bfs|mdd] [--output table1.txt]
-                          [--parallel N] [--emit-json [PATH]]
 
 Prints the paper's three-part Table 1 for the requested J values.
-
-``--parallel N`` fans reachability and per-level refinement out to a
-fault-tolerant pool of N forked workers (:mod:`repro.robust.pool`); the
-table is bitwise-identical to the serial one.  ``--emit-json`` runs each
-J both serially and with ``--parallel`` and writes the rows plus the
-wall-clock comparison (and the host's CPU count, for honest reading of
-the speedup) to ``BENCH_parallel.json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
-import platform
 import sys
-import time
 
 from repro.bench.table1 import render_table1, run_table1_row
 from repro.models import TandemParams
-
-
-def _comparable(row) -> dict:
-    """A Table1Row as a dict without its wall-clock fields, for checking
-    that serial and parallel runs produced the same table."""
-    data = dataclasses.asdict(row)
-    data.pop("generation_seconds")
-    data.pop("lump_seconds")
-    return data
 
 
 def main(argv=None) -> int:
@@ -139,31 +118,6 @@ def main(argv=None) -> int:
         "start, recorded in the run report)",
     )
     parser.add_argument(
-        "--parallel",
-        type=int,
-        metavar="N",
-        help="fan reachability and refinement out to N fault-tolerant "
-        "worker processes (N >= 2); results are bitwise-identical to "
-        "the serial run; widths the host cannot support (one core, or "
-        "N > cores) auto-degrade to serial",
-    )
-    parser.add_argument(
-        "--parallel-force",
-        action="store_true",
-        help="engage the worker pool even when the host has too few "
-        "cores for --parallel N to win (disables the insufficient-cores "
-        "auto-degrade; used by fault-injection smoke jobs)",
-    )
-    parser.add_argument(
-        "--emit-json",
-        nargs="?",
-        const="BENCH_parallel.json",
-        metavar="PATH",
-        help="run each J serially AND with --parallel, then write the "
-        "table rows plus the serial-vs-parallel wall-clock comparison "
-        "to PATH (default BENCH_parallel.json); requires --parallel",
-    )
-    parser.add_argument(
         "--output", help="also write the rendered table to this file"
     )
     args = parser.parse_args(argv)
@@ -192,30 +146,9 @@ def main(argv=None) -> int:
         args.iteration_budget is not None or args.time_budget is not None
     ) and not args.robust:
         parser.error("--time-budget/--iteration-budget require --robust")
-    if args.parallel is not None and args.parallel < 2:
-        parser.error("--parallel must be >= 2")
-    if args.parallel is not None and args.symbolic:
-        parser.error("--parallel is not supported with --symbolic")
-    if args.parallel_force and args.parallel is None:
-        parser.error("--parallel-force requires --parallel")
-    parallel_arg = args.parallel
-    if args.parallel_force:
-        from repro.robust.pool import ParallelConfig
-
-        # An explicit config bypasses the insufficient-cores degrade.
-        parallel_arg = ParallelConfig(workers=args.parallel)
-    if args.emit_json is not None:
-        if args.parallel is None:
-            parser.error("--emit-json requires --parallel")
-        if args.robust or args.symbolic:
-            parser.error(
-                "--emit-json compares the plain pipeline; drop "
-                "--robust/--symbolic"
-            )
 
     rows = []
     reports = []
-    json_rows = []
     for jobs in (int(x) for x in args.jobs.split(",")):
         params = TandemParams(
             jobs=jobs,
@@ -268,7 +201,6 @@ def main(argv=None) -> int:
                     resume=args.resume,
                     supervised=args.supervised,
                     supervisor=supervisor_config,
-                    parallel=parallel_arg,
                 )
             except CrashLoopError as exc:
                 # The circuit breaker tripped: emit the structured
@@ -298,40 +230,10 @@ def main(argv=None) -> int:
             rows.append(
                 run_table1_row_symbolic(jobs, params, kind=args.kind)
             )
-        elif args.emit_json is not None:
-            start = time.perf_counter()
-            serial_row = run_table1_row(
-                jobs, params, reach_engine=args.engine, kind=args.kind
-            )
-            serial_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            parallel_row = run_table1_row(
-                jobs, params, reach_engine=args.engine, kind=args.kind,
-                parallel=parallel_arg,
-            )
-            parallel_seconds = time.perf_counter() - start
-            identical = _comparable(serial_row) == _comparable(parallel_row)
-            if not identical:
-                print(
-                    f"J={jobs}: parallel table differs from serial",
-                    file=sys.stderr,
-                )
-            json_rows.append(
-                {
-                    "jobs": jobs,
-                    "serial_seconds": serial_seconds,
-                    "parallel_seconds": parallel_seconds,
-                    "speedup": serial_seconds / parallel_seconds,
-                    "identical": identical,
-                    "table1": dataclasses.asdict(parallel_row),
-                }
-            )
-            rows.append(parallel_row)
         else:
             rows.append(
                 run_table1_row(
-                    jobs, params, reach_engine=args.engine, kind=args.kind,
-                    parallel=parallel_arg,
+                    jobs, params, reach_engine=args.engine, kind=args.kind
                 )
             )
     rendered = render_table1(rows)
@@ -341,40 +243,6 @@ def main(argv=None) -> int:
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(rendered + "\n")
-    if args.emit_json is not None:
-        from repro.robust.pool import autodegrade_parallel
-        from repro.robust.report import RunReport
-
-        probe = RunReport()
-        engaged = autodegrade_parallel(parallel_arg, probe) is not None
-        degrade_events = probe.pool_events_of_kind("pool-degraded")
-        payload = {
-            "benchmark": "table1 serial vs parallel",
-            "parallel_workers": args.parallel,
-            "pool_engaged": engaged,
-            "degraded": (
-                degrade_events[0].detail if degrade_events else None
-            ),
-            "host": {
-                "cpu_count": os.cpu_count(),
-                "platform": platform.platform(),
-                "python": platform.python_version(),
-            },
-            "pipeline": {
-                "engine": args.engine,
-                "kind": args.kind,
-                "cube_dim": args.cube_dim,
-                "msmq_servers": args.msmq_servers,
-                "msmq_queues": args.msmq_queues,
-            },
-            "rows": json_rows,
-        }
-        with open(args.emit_json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.emit_json}", file=sys.stderr)
-        if not all(entry["identical"] for entry in json_rows):
-            return 4
     return 0
 
 

@@ -33,7 +33,6 @@ from repro.models import TandemParams, build_tandem, tandem_md_model
 from repro.models.tandem import projected_event_model
 from repro.robust.budgets import Budget
 from repro.robust.checkpoint import scoped as checkpoint_scoped
-from repro.robust.pool import autodegrade_parallel
 from repro.robust.report import RunReport
 from repro.statespace import reachable_bfs, reachable_mdd
 from repro.util import Stopwatch, Table, format_bytes, format_seconds
@@ -71,18 +70,8 @@ def run_table1_row(
     params: Optional[TandemParams] = None,
     reach_engine: str = "bfs",
     kind: str = "ordinary",
-    parallel=None,
 ) -> Table1Row:
-    """Run the full pipeline for one ``J`` and collect the row.
-
-    ``parallel`` (an int >= 2 or a
-    :class:`~repro.robust.pool.ParallelConfig`) fans reachability and
-    per-level refinement out to a fault-tolerant worker pool; the row is
-    bitwise-identical to the serial one.  An int width the host cannot
-    support (one core, or N > cores) silently degrades to serial; pass
-    a config to force the pool.
-    """
-    parallel = autodegrade_parallel(parallel)
+    """Run the full pipeline for one ``J`` and collect the row."""
     if params is None:
         params = TandemParams(jobs=jobs)
     elif params.jobs != jobs:
@@ -91,9 +80,9 @@ def run_table1_row(
     with watch.phase("generation"):
         compiled = build_tandem(params)
         if reach_engine == "bfs":
-            reach = reachable_bfs(compiled.event_model, parallel=parallel)
+            reach = reachable_bfs(compiled.event_model)
         elif reach_engine == "mdd":
-            reach = reachable_mdd(compiled.event_model, parallel=parallel)
+            reach = reachable_mdd(compiled.event_model)
         else:
             raise ValueError(f"unknown reach engine {reach_engine!r}")
         event_model = projected_event_model(compiled, reach)
@@ -101,14 +90,14 @@ def run_table1_row(
             # The projection shrank some level; recompute the reachable set
             # in the projected coordinates (labels are preserved, so the
             # result is the same set).
-            reach = reachable_bfs(event_model, parallel=parallel)
+            reach = reachable_bfs(event_model)
         else:
             reach.model = event_model
         model = tandem_md_model(event_model, params, reachable=reach)
     unlumped_stats = md_stats(model.md)
 
     with watch.phase("lumping"):
-        result = compositional_lump(model, kind, parallel=parallel)
+        result = compositional_lump(model, kind)
     lumped_stats = md_stats(result.lumped.md)
 
     return Table1Row(
@@ -223,7 +212,6 @@ def run_table1_row_robust(
     lumping_degrade: bool = True,
     supervised: bool = False,
     supervisor=None,
-    parallel=None,
 ) -> RobustTable1Run:
     """The Table-1 pipeline with fallbacks, degradation, and a report.
 
@@ -245,10 +233,6 @@ def run_table1_row_robust(
     checkpoint on crash/hang/OOM with progressive degradation — see
     :mod:`repro.robust.supervisor`.  ``supervisor`` is an optional
     :class:`~repro.robust.supervisor.SupervisorConfig`.
-
-    With ``parallel=N`` reachability and per-level refinement fan out to
-    a fault-tolerant worker pool whose crash/retry/reassignment events
-    land in the report; the row stays bitwise-identical to serial.
     """
     if supervised:
         return _run_table1_row_supervised(
@@ -262,7 +246,6 @@ def run_table1_row_robust(
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             config=supervisor,
-            parallel=parallel,
         )
     from repro.robust.fallback import (
         DEFAULT_SOLVER_CHAIN,
@@ -276,9 +259,6 @@ def run_table1_row_robust(
         raise ValueError("params.jobs disagrees with the jobs argument")
     if report is None:
         report = RunReport()
-    cfg = autodegrade_parallel(parallel, report)
-    if cfg is not None and cfg.report is None:
-        cfg.report = report
     if solver_chain is None:
         solver_chain = DEFAULT_SOLVER_CHAIN
     ck = None
@@ -305,7 +285,7 @@ def run_table1_row_robust(
         ):
             compiled = build_tandem(params)
             engine_run = reachable_with_fallback(
-                compiled.event_model, engines=engines, parallel=cfg
+                compiled.event_model, engines=engines
             )
             for attempt in engine_run.attempts:
                 report.record_attempt(
@@ -339,7 +319,7 @@ def run_table1_row_robust(
                 # checkpoint scope keeps it from ever aliasing the first
                 # BFS's snapshots.
                 with checkpoint_scoped("projected"):
-                    reach = reachable_bfs(event_model, parallel=cfg)
+                    reach = reachable_bfs(event_model)
             else:
                 reach.model = event_model
             model = tandem_md_model(event_model, params, reachable=reach)
@@ -347,8 +327,7 @@ def run_table1_row_robust(
 
         with report.stage("lumping") as stage, checkpoint_scoped("lumping"):
             result = compositional_lump(
-                model, kind, degrade=lumping_degrade, report=report,
-                parallel=cfg,
+                model, kind, degrade=lumping_degrade, report=report
             )
             if result.skipped_levels:
                 stage.status = "degraded"
@@ -417,7 +396,6 @@ def _run_table1_row_supervised(
     checkpoint_dir: Optional[str],
     resume: bool,
     config=None,
-    parallel=None,
 ) -> RobustTable1Run:
     """The supervised variant: the robust Table-1 pipeline in a watched
     child process (see :mod:`repro.robust.supervisor`)."""
@@ -442,7 +420,6 @@ def _run_table1_row_supervised(
             checkpoint_interval=ctx.checkpoint_interval,
             checkpoint_keep_last=ctx.checkpoint_keep_last,
             lumping_degrade=level.lumping_degrade,
-            parallel=parallel,
         )
 
     supervised = run_supervised(

@@ -234,7 +234,6 @@ def compositional_lump(
     iterate: bool = False,
     degrade: bool = False,
     report=None,
-    parallel=None,
 ) -> CompositionalLumpingResult:
     """Lump an MD-represented MRP level by level (Figure 3b).
 
@@ -274,15 +273,10 @@ def compositional_lump(
     report:
         Optional :class:`~repro.robust.report.RunReport` that receives a
         fallback event per skipped level.
-    parallel:
-        An int or :class:`~repro.robust.pool.ParallelConfig`: run each
-        level's per-node refinement on a fault-tolerant worker pool (see
-        :func:`repro.lumping.local.comp_lumping_level`).  The result is
-        bitwise-identical to the serial path's.
     """
     if not iterate:
         return _compositional_lump_once(
-            model, kind, levels, key, strategy, degrade, report, parallel
+            model, kind, levels, key, strategy, degrade, report
         )
     current = model
     composed: Optional[CompositionalLumpingResult] = None
@@ -292,8 +286,7 @@ def compositional_lump(
         # snapshot keys of successive passes never collide.
         with checkpoint.scoped(f"pass{pass_number}"):
             result = _compositional_lump_once(
-                current, kind, levels, key, strategy, degrade, report,
-                parallel,
+                current, kind, levels, key, strategy, degrade, report
             )
         pass_number += 1
         composed = result if composed is None else _compose_results(
@@ -360,7 +353,6 @@ def _compositional_lump_once(
     strategy: str,
     degrade: bool = False,
     report=None,
-    parallel=None,
 ) -> CompositionalLumpingResult:
     """One pass of Figure 3b."""
     if kind not in ("ordinary", "exact"):
@@ -395,7 +387,7 @@ def _compositional_lump_once(
                 partitions.append(
                     comp_lumping_level(
                         md, level, start, kind=kind, key=key,
-                        strategy=strategy, parallel=parallel,
+                        strategy=strategy,
                     )
                 )
         except (LumpingError, BudgetExceeded) as exc:

@@ -21,8 +21,6 @@ from repro.lumping.md_model import MDModel
 from repro.lumping.refinement import comp_lumping
 from repro.matrixdiagram.md import MatrixDiagram
 from repro.partitions import Partition
-from repro.robust.pool import parallel_config
-from repro.robust.shard import parallel_refinement_rounds
 from repro.util.numeric import quantize
 
 
@@ -66,7 +64,6 @@ def comp_lumping_level(
     key: str = "formal",
     strategy: str = "paper",
     max_rounds: Optional[int] = None,
-    parallel=None,
 ) -> Partition:
     """Fixed-point iteration of ``CompLumping`` over all nodes of a level
     (Figure 3a).
@@ -90,14 +87,6 @@ def comp_lumping_level(
     max_rounds:
         Optional safety bound on fixed-point rounds (each round refines or
         terminates, so at most ``|S_level|`` rounds are ever needed).
-    parallel:
-        An int or :class:`~repro.robust.pool.ParallelConfig`: run each
-        round's per-node ``CompLumping`` calls on a fault-tolerant
-        worker pool and meet the results in sorted node order.  The
-        fixed point — the coarsest partition refining ``initial`` that
-        is stable for every node — is the same either way, so the
-        canonical result (and everything lumped with it) is identical
-        to the serial path's.
     """
     if kind not in ("ordinary", "exact"):
         raise LumpingError(f"kind must be 'ordinary' or 'exact', not {kind!r}")
@@ -108,36 +97,19 @@ def comp_lumping_level(
         raise LumpingError(
             f"initial partition over {initial.n} states, level has {size}"
         )
-    # One key factory per node, indexed once for the whole level (and
-    # before any pool forks, so the workers inherit the indexes).
+    # One key factory per node, indexed once for the whole level.
     flat_cache: Dict = {}
     splitters = [
-        (
-            index,
-            md_node_splitter(node, kind)
-            if key == "formal"
-            else md_node_matrix_splitter(md, node, kind, flat_cache),
-        )
-        for index, node in sorted(md.nodes_at(level).items())
+        md_node_splitter(node, kind)
+        if key == "formal"
+        else md_node_matrix_splitter(md, node, kind, flat_cache)
+        for _index, node in sorted(md.nodes_at(level).items())
     ]
-
-    cfg = parallel_config(parallel)
-    if cfg is not None:
-        return parallel_refinement_rounds(
-            size,
-            splitters,
-            lambda splitter: splitter,
-            initial,
-            strategy,
-            max_rounds,
-            cfg,
-            level_label=f"l{level}",
-        )
     partition = initial.copy()
     rounds = 0
     while True:
         blocks_before = len(partition)
-        for _index, splitter in splitters:
+        for splitter in splitters:
             partition = comp_lumping(
                 size, splitter, partition, strategy=strategy
             )

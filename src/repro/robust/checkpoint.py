@@ -28,19 +28,19 @@ bytes.  Every write is atomic (tmp file + fsync + rename), so a crash
 mid-write leaves either the old snapshot or the new one, never a torn
 file.
 
-A checkpoint directory may have *concurrent* writers: the parallel
-execution layer (:mod:`repro.robust.pool`) forks worker processes that
-inherit the active checkpointer and snapshot their shard of the work
-under per-task scopes.  Two rules make that safe.  First, every
-manifest mutation happens under an advisory ``flock`` on
-``<directory>/.lock`` and starts by re-reading the manifest from disk
-(read-merge-write), so one worker's manifest write can never erase
-another's entry.  Second, shard snapshots live under per-task scope
-labels (distinct sequence-key bases), so keep_last pruning — which only
-ever touches files of the *same* base — cannot garbage-collect another
-worker's snapshots.  Each snapshot records ``format`` (the schema version), a ``guard``
-dict describing the computation it belongs to (problem sizes, content
-digests), ``complete`` (whether the loop finished), and the ``payload``.
+The library itself writes one directory from one process at a time
+(the supervisor runs one child at a time; service workers never open a
+checkpointer), but nothing stops two processes from being handed the
+same directory.  Two rules keep that safe.  First, every manifest
+mutation happens under an advisory ``flock`` on ``<directory>/.lock``
+and starts by re-reading the manifest from disk (read-merge-write), so
+one writer's manifest write can never erase another's entry.  Second,
+keep_last pruning only ever touches files of the snapshot's *own*
+sequence-key base, so it never garbage-collects snapshots written under
+other scopes.  Each snapshot records ``format`` (the schema version), a
+``guard`` dict describing the computation it belongs to (problem sizes,
+content digests), ``complete`` (whether the loop finished), and the
+``payload``.
 
 Resume is strictly best-effort: a snapshot that is missing from the
 manifest, fails its hash, carries the wrong format version, or whose
@@ -383,11 +383,11 @@ class Checkpointer:
     def _locked(self) -> Iterator[None]:
         """Advisory exclusive lock on the checkpoint directory.
 
-        Serializes manifest read-merge-write cycles across the processes
-        sharing this directory (the pool's forked workers and their
-        parent).  Degrades to a no-op where ``fcntl`` is unavailable or
-        the lockfile cannot be opened — single-writer behaviour, which
-        is what those platforms had before.
+        Serializes manifest read-merge-write cycles across any processes
+        sharing this directory (for example two runs given the same
+        checkpoint directory).  Degrades to a no-op where ``fcntl`` is
+        unavailable or the lockfile cannot be opened — single-writer
+        behaviour, which is what those platforms had before.
 
         The holder stamps its PID into the lockfile.  A stamp naming a
         dead process is stale — left by a SIGKILLed holder (the kernel
@@ -593,8 +593,8 @@ class Checkpointer:
         so a crash between the two leaves a manifest hash that no longer
         matches — which the loader treats as corruption, i.e. a fresh
         start.  The manifest update (and the prune that follows it) runs
-        under the directory lock as a read-merge-write, so concurrent
-        workers sharing the directory never lose each other's entries.
+        under the directory lock as a read-merge-write, so processes
+        sharing the directory never lose each other's entries.
         ``payload`` and ``guard`` must be JSON-serializable.
         """
         record = {
@@ -626,9 +626,10 @@ class Checkpointer:
         just saved.  Manifest first, files second: a crash between the
         two leaves orphan files the manifest never references again —
         harmless — rather than manifest entries whose files are gone.
-        Only files of ``key``'s own sequence base are candidates, so a
-        concurrent worker's snapshots (distinct per-shard scopes) are
-        never collected from here.
+        Only files of ``key``'s own sequence base are candidates, so
+        snapshots under other scopes (another stage, level or pass, or
+        another process sharing the directory) are never collected
+        from here.
         """
         if self.keep_last is None:
             return

@@ -254,7 +254,6 @@ class EngineFallbackResult:
 def reachable_with_fallback(
     model: Any,
     engines: Sequence[str] = DEFAULT_ENGINE_CHAIN,
-    **engine_kwargs: Any,
 ) -> EngineFallbackResult:
     """Generate the reachable state space, falling back across engines.
 
@@ -276,7 +275,7 @@ def reachable_with_fallback(
     for engine in engines:
         start = time.perf_counter()
         try:
-            result = _ENGINES[engine](model, **engine_kwargs)
+            result = _ENGINES[engine](model)
         except BudgetExceeded:
             raise
         except (ReproError, MemoryError) as exc:

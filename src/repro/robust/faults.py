@@ -18,12 +18,10 @@ site                    effect when a matching rule fires
 ``budget``              :class:`InjectedBudgetFault` (a ``BudgetExceeded``),
                         fired from the cooperative budget hooks — a budget
                         must be active for these to run
-``worker``              checked via :func:`check_at` with the worker's
-                        1-based pool slot at worker startup — ``worker:2``
-                        targets the second pool worker
-``task``                checked via :func:`check_at` with the 1-based pool
-                        task id just before the task executes — e.g.
-                        ``task:3@hang:5`` stalls task 3 for five seconds
+``service.slot``        checked via :func:`check_at` with the 1-based
+                        dispatcher slot at service-worker startup —
+                        ``service.slot:2@sigkill`` kills the second
+                        slot's worker
 ``certify.corrupt``     :class:`InjectedFault`, caught by
                         :func:`repro.robust.certify.apply_corruption`,
                         which flips one stationary entry instead of
@@ -305,13 +303,14 @@ class FaultInjector:
         """Like :meth:`check`, but match at an explicit 1-based ``index``
         without touching the site's call counter.
 
-        This is how position-addressed sites work: a worker pool checks
-        ``("worker", slot)`` at each worker's startup and
-        ``("task", task_id)`` before each task, so a rule like
-        ``worker:2@sigkill`` targets *the second worker* regardless of
-        how many workers started before it, or in what order.  One-shot
-        rules honour the fired log exactly as counted checks do, which
-        is what keeps a restarted worker (same slot) from dying forever.
+        This is how position-addressed sites work: the service
+        dispatcher checks ``("service.slot", slot)`` at each worker's
+        startup and the sweep checks ``("sweep.point", index)`` before
+        each point, so a rule like ``service.slot:2@sigkill`` targets
+        *the second slot* regardless of how many workers started before
+        it, or in what order.  One-shot rules honour the fired log
+        exactly as counted checks do, which is what keeps a restarted
+        worker (same slot) from dying forever.
         """
         matching = [rule for rule in self.rules if rule.site == site]
         for rule in matching:
@@ -537,11 +536,6 @@ def set_fired_log(path: Optional[str]) -> None:
     _FIRED_LOG = None if path is None else _FiredLog(path)
 
 
-def fired_log_path() -> Optional[str]:
-    """Path of the installed fired log, if any."""
-    return None if _FIRED_LOG is None else _FIRED_LOG.path
-
-
 #: The ambient injector parsed from ``REPRO_FAULTS`` at import (call
 #: :func:`reload_env` after mutating the environment).
 _ENV_INJECTOR: Optional[FaultInjector] = FaultInjector.from_env()
@@ -564,30 +558,6 @@ def env_injector() -> Optional[FaultInjector]:
     return _ENV_INJECTOR
 
 
-def injectors_active() -> bool:
-    """Whether any injector (lexical or ambient) is currently active.
-
-    The worker pool uses this to decide whether fault bookkeeping (a
-    scratch fired log, per-task fired-log refreshes) is worth paying
-    for; with no injectors the check sites are free and stay that way.
-    """
-    return bool(_ACTIVE) or _ENV_INJECTOR is not None
-
-
-def reload_fired_log() -> None:
-    """Re-read the installed fired log from disk (no-op without one).
-
-    A forked worker inherits the parent's *in-memory* view of the log;
-    firings recorded by sibling processes after the fork are only in
-    the file.  Re-reading before a position-addressed check keeps
-    one-shot rules one-shot across concurrent workers, not just across
-    sequential restarts.
-    """
-    global _FIRED_LOG
-    if _FIRED_LOG is not None:
-        _FIRED_LOG = _FiredLog(_FIRED_LOG.path)
-
-
 def check(site: str) -> None:
     """Library hook: raise an injected fault if any active rule matches.
 
@@ -603,11 +573,12 @@ def check(site: str) -> None:
 
 
 def check_at(site: str, index: int) -> None:
-    """Library hook for position-addressed sites (pool workers/tasks):
-    fire any rule matching the explicit 1-based ``index`` at ``site``.
+    """Library hook for position-addressed sites (service slots, sweep
+    points): fire any rule matching the explicit 1-based ``index`` at
+    ``site``.
 
     Unlike :func:`check`, no per-site counter is consumed — the caller
-    names the position, so the same rule means the same worker/task in
+    names the position, so the same rule means the same slot/point in
     every process and on every restart.
     """
     if not _ACTIVE and _ENV_INJECTOR is None:

@@ -200,17 +200,16 @@ class ProcessAttemptReport:
 
 @dataclass
 class PoolEvent:
-    """One worker-pool lifecycle event (see :mod:`repro.robust.pool`).
+    """One worker-slot lifecycle event of the service dispatcher (see
+    :mod:`repro.service.dispatcher`).
 
-    ``kind`` taxonomy: ``"worker-started"``, ``"worker-crashed"`` (the
-    process died or was killed by the pool: ``detail`` carries the
-    reason — crash/hung/timeout), ``"worker-restarted"``,
-    ``"worker-retired"`` (per-worker crash-loop breaker),
-    ``"task-failed"`` (an attempt raised in the worker),
-    ``"task-retried"``, ``"task-reassigned"`` (its worker died mid-task),
-    ``"task-quarantined"`` (retry budget exhausted; ran serially),
-    ``"straggler-redispatched"`` (duplicate dispatch of a slow task),
-    ``"pool-degraded"`` (no workers left; remaining tasks ran serially).
+    ``kind`` taxonomy: ``"worker-started"``, ``"worker-exited"`` (a
+    clean exit: drained, or respawned in serve mode),
+    ``"worker-crashed"`` (the process died or was killed by the
+    watchdog: ``detail`` carries the reason), ``"worker-restarted"``,
+    ``"worker-retired"`` (per-slot crash-loop breaker),
+    ``"pool-degraded"`` (every slot retired; the dispatcher drains the
+    queue inline).
     """
 
     kind: str

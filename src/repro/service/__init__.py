@@ -1,12 +1,13 @@
 """Durable, fault-tolerant analysis service around ``lump_and_solve``.
 
 The service turns the robustness substrate (budgets, checkpoints,
-supervisor, pool) into callable infrastructure: a crash-safe job store
-(:mod:`repro.service.store`), leased supervised workers
-(:mod:`repro.service.worker`, :mod:`repro.service.dispatcher`), and a
-content-addressed result cache (:mod:`repro.service.cache`), fronted by
-``python -m repro.service`` with ``submit / status / result /
-run-workers / gc`` verbs.  See ``docs/service.md``.
+heartbeats, retry policy) into callable infrastructure: a crash-safe
+job store (:mod:`repro.service.store`), leased workers supervised by
+the dispatcher (:mod:`repro.service.worker`,
+:mod:`repro.service.dispatcher`), and a content-addressed result
+cache (:mod:`repro.service.cache`), fronted by ``python -m
+repro.service`` with ``submit / status / result / run-workers / gc``
+verbs.  See ``docs/service.md``.
 """
 
 from repro.service.cache import ResultCache

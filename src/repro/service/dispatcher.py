@@ -19,9 +19,10 @@ Shutdown is drain-and-stop: in drain mode the dispatcher exits when
 every job is terminal; on SIGTERM/SIGINT it tells workers to finish
 their current job and stop claiming new ones.
 
-Worker deaths land in the dispatcher's :class:`RunReport` as pool
-events (same vocabulary as :mod:`repro.robust.pool`), so one report
-renders the whole recovery trail.
+Worker starts, deaths, restarts and retirements land in the
+dispatcher's :class:`RunReport` as pool events
+(:class:`~repro.robust.report.PoolEvent`), so one report renders the
+whole recovery trail.
 """
 
 from __future__ import annotations
@@ -291,8 +292,7 @@ class Dispatcher:
                     not s.retired for s in self._slots
                 ):
                     # Every slot crash-looped out: run the remaining
-                    # jobs inline rather than abandoning the queue (the
-                    # same degrade-to-serial posture as the pool).
+                    # jobs inline rather than abandoning the queue.
                     self.report.record_pool_event(
                         "pool-degraded",
                         detail=(

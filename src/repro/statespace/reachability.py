@@ -26,8 +26,6 @@ from repro.errors import StateSpaceError
 from repro.markov.ctmc import CTMC
 from repro.robust import budgets, checkpoint, faults
 from repro.robust.budgets import BudgetExceeded
-from repro.robust.pool import parallel_config
-from repro.robust.shard import sharded_reachable_states
 from repro.statespace.events import EventModel, SuccessorTables
 from repro.statespace.mdd import MDDManager
 
@@ -145,7 +143,6 @@ def reachable_bfs(
     model: EventModel,
     initial: Optional[Sequence[Tuple[int, ...]]] = None,
     max_states: Optional[int] = None,
-    parallel=None,
 ) -> ReachabilityResult:
     """Explicit BFS from the model's initial state (or a given seed set).
 
@@ -158,15 +155,8 @@ def reachable_bfs(
     round admits new states only up to the first one over the tightest
     state cap, so a state budget fires at exactly ``limit + 1`` states
     instead of after full exploration.
-
-    ``parallel`` (an int or :class:`~repro.robust.pool.ParallelConfig`)
-    shards each frontier round across a fault-tolerant worker pool; the
-    result — and the checkpoint payloads, written under the same key —
-    are bitwise-identical to the serial engine's, so a killed parallel
-    run can resume serially and vice versa.
     """
     faults.check("reachability.bfs")
-    cfg = parallel_config(parallel)
     if initial is None:
         seeds = [model.initial_state]
     else:
@@ -187,20 +177,6 @@ def reachable_bfs(
                 return ReachabilityResult.from_states(model, states, "bfs")
             seen_states = [tuple(s) for s in payload["seen"]]
             frontier_states = [tuple(s) for s in payload["frontier"]]
-    if cfg is not None:
-        states = sharded_reachable_states(
-            model,
-            set(seen_states),
-            frontier_states,
-            cfg,
-            ck=ck,
-            key=key,
-            guard=guard,
-            max_states=max_states,
-        )
-        if ck is not None:
-            ck.save(key, {"states": states}, guard=guard, complete=True)
-        return ReachabilityResult.from_states(model, states, "bfs")
     tables = SuccessorTables(model)
     seen = _distinct(model.encode_states(seen_states))
     frontier = _distinct(model.encode_states(frontier_states))
@@ -258,63 +234,20 @@ def reachable_mdd(
     model: EventModel,
     manager: Optional[MDDManager] = None,
     return_mdd: bool = False,
-    parallel=None,
 ):
     """Symbolic fixpoint: ``S <- S U image(S, e)`` for all events until
     stable (event chaining).  Returns a :class:`ReachabilityResult`, plus
     the final MDD id and manager when ``return_mdd`` is true.
-
-    With ``parallel``, the reachable set is computed by the sharded
-    explicit frontier expansion instead of event chaining — the engines
-    compute the same set, and the MDD is canonical per manager, so
-    ``manager.from_tuples`` of that set is the node chaining would have
-    reached.  (This trades the symbolic economy for multicore frontier
-    expansion; at the scales where enumeration is impossible, use the
-    serial saturation engine.)
     """
     faults.check("reachability.mdd")
     if manager is None:
         manager = MDDManager(model.level_sizes())
-    cfg = parallel_config(parallel)
-    if cfg is not None:
-        states = _sharded_mdd_states(model, cfg)
-        result = ReachabilityResult.from_states(model, states, "mdd")
-        if return_mdd:
-            return result, manager.from_tuples(states), manager
-        return result
     current = _chain(manager, model)
     states = sorted(manager.tuples(current))
     result = ReachabilityResult.from_states(model, states, "mdd")
     if return_mdd:
         return result, current, manager
     return result
-
-
-def _sharded_mdd_states(model: EventModel, cfg) -> List[Tuple[int, ...]]:
-    """Reachable states for the parallel MDD engine, checkpointed under
-    the engine's own key (``reachability.mdd.shard``) so its snapshots
-    never collide with the chaining engine's ``tuples`` payloads."""
-    seeds = [model.initial_state]
-    seen = set(seeds)
-    frontier = list(seeds)
-    ck = checkpoint.active()
-    key = guard = None
-    if ck is not None:
-        key = ck.sequence_key("reachability.mdd.shard")
-        guard = _reach_guard(model, seeds)
-        record = ck.load(key, guard=guard)
-        if record is not None:
-            payload = record["payload"]
-            if record["complete"]:
-                return [tuple(s) for s in payload["states"]]
-            seen = {tuple(s) for s in payload["seen"]}
-            frontier = [tuple(s) for s in payload["frontier"]]
-    states = sharded_reachable_states(
-        model, seen, frontier, cfg, ck=ck, key=key, guard=guard
-    )
-    if ck is not None:
-        ck.save(key, {"states": states}, guard=guard, complete=True)
-    return states
 
 
 @dataclass
@@ -502,7 +435,6 @@ def reachable_saturation(
     model: EventModel,
     manager: Optional[MDDManager] = None,
     return_mdd: bool = False,
-    parallel=None,
 ):
     """Saturation-style symbolic reachability (Ciardo et al., cited as the
     paper's route to very large state spaces).
@@ -514,13 +446,7 @@ def reachable_saturation(
     Exploits event locality: low events never disturb high levels, so
     their fixpoints are computed once per upper configuration instead of
     once per global iteration.
-
-    ``parallel`` is accepted for engine-chain uniformity but ignored:
-    the bottom-up locality sweep is inherently sequential, and this
-    engine exists for scales where enumerating states (which the
-    sharded driver does) is the thing being avoided.
     """
-    del parallel  # saturation stays serial by design (see docstring)
     faults.check("reachability.mdd")
     if manager is None:
         manager = MDDManager(model.level_sizes())

@@ -6,11 +6,6 @@ real ``BudgetExceeded``), resume from the checkpoint directory, and the
 final answer must match an uninterrupted run — same table row sizes and
 a stationary distribution equal within solver tolerance (observed to be
 bitwise-identical, which the test also records).
-
-The parallel variants assert the same contract with the worker pool
-engaged (``parallel=ParallelConfig(workers=2)``): a parallel run, a killed-and-resumed parallel
-run, and the serial baseline must all be bitwise-identical — the
-determinism contract of :mod:`repro.robust.pool`.
 """
 
 import json
@@ -31,7 +26,6 @@ from repro.bench.table1 import run_table1_row_robust  # noqa: E402
 from repro.models import TandemParams  # noqa: E402
 from repro.robust.budgets import Budget, BudgetExceeded  # noqa: E402
 from repro.robust.faults import FaultInjector, FaultRule, inject_faults  # noqa: E402
-from repro.robust.pool import ParallelConfig  # noqa: E402
 
 PARAMS = TandemParams(jobs=1, cube_dim=2, msmq_servers=2, msmq_queues=2)
 
@@ -96,132 +90,6 @@ def test_kill_anywhere_then_resume_matches_clean(data):
     # Stronger than the contract requires, but it holds: the replayed
     # arithmetic is deterministic, so the match is bitwise.
     assert np.array_equal(resumed.stationary, clean.stationary)
-
-
-class _ChainModel:
-    """``(0,) -> (1,) -> ... -> (last,)``: one successor per state, so
-    losing any frontier state severs everything beyond it."""
-
-    def __init__(self, last):
-        self.last = last
-
-    def successors(self, state):
-        (i,) = state
-        if i < self.last:
-            yield (i + 1,), 1.0
-
-
-def test_parallel_bfs_mid_merge_kill_keeps_frontier_resumable(tmp_path):
-    """Regression: a state budget firing *mid-merge* (after a discovered
-    state entered ``seen`` but before it entered any frontier) must save
-    that state in the snapshot frontier — otherwise the resume skips it
-    as already-seen without ever expanding it, silently truncating the
-    reachable set."""
-    from repro.robust.checkpoint import Checkpointer
-    from repro.robust.pool import ParallelConfig
-    from repro.robust.retry import RetryPolicy
-    from repro.robust.shard import sharded_reachable_states
-
-    model = _ChainModel(9)
-    config = ParallelConfig(
-        workers=2,
-        poll_interval_seconds=0.01,
-        heartbeat_min_interval_seconds=0.01,
-        policy=RetryPolicy(max_restarts=2, backoff_initial_seconds=0.0),
-    )
-    ck = Checkpointer(str(tmp_path))
-    with pytest.raises(BudgetExceeded):
-        with Budget(max_states=4):
-            sharded_reachable_states(
-                model, {(0,)}, [(0,)], config, ck=ck, key="bfs"
-            )
-    saved = Checkpointer(str(tmp_path), resume=True).load("bfs")["payload"]
-    seen = {tuple(s) for s in saved["seen"]}
-    frontier = [tuple(s) for s in saved["frontier"]]
-    # The budget fired right after the fifth state entered ``seen``;
-    # that state must be in the saved frontier alongside its parent.
-    assert (4,) in seen and (4,) in set(frontier)
-    resumed = sharded_reachable_states(model, seen, frontier, config)
-    assert resumed == [(i,) for i in range(10)]
-
-
-def _rows_match(run, clean):
-    assert run.row.unlumped_overall == clean.row.unlumped_overall
-    assert run.row.lumped_overall == clean.row.lumped_overall
-    assert run.row.unlumped_level_sizes == clean.row.unlumped_level_sizes
-    assert run.row.lumped_level_sizes == clean.row.lumped_level_sizes
-    assert np.array_equal(run.stationary, clean.stationary)
-
-
-def test_parallel_run_is_bitwise_identical_to_serial():
-    clean = _baseline()["clean"]
-    # Explicit config: an int width would auto-degrade on a low-core
-    # host, and this test asserts the pool actually engages.
-    parallel = run_table1_row_robust(
-        1, PARAMS, parallel=ParallelConfig(workers=2)
-    )
-    _rows_match(parallel, clean)
-    # The pool actually engaged: workers were started for the parallel
-    # reachability and refinement sections.
-    assert parallel.report.pool_events_of_kind("worker-started")
-
-
-@settings(
-    max_examples=4,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(data=st.data())
-def test_parallel_kill_anywhere_then_resume_matches_clean(data):
-    """Kill a parallel run at any budget-hook site, resume in parallel:
-    the answer must still match the uninterrupted serial run bitwise.
-
-    The budget rule is open-ended, so it fires in whichever process
-    (parent or forked worker) reaches the site first; a worker firing
-    surfaces as a terminal budget frame.  Either way the checkpoint
-    directory must hold a consistent partial state that a parallel
-    resume completes to the exact serial answer.
-
-    Sites are drawn from the *serial* run's call range, but a parallel
-    run redistributes the tail of those calls into workers (whose
-    forked counters restart from the fork point), so a high site may
-    legitimately never fire anywhere — in that case the run completes
-    and must already match the serial answer.  Lumping degradation is
-    disabled for the killed run: this is a *kill* test, and degrading
-    around a worker-side budget fault (a valid robustness response)
-    would yield an identity-lumped row rather than a dead run.
-    """
-    base = _baseline()
-    clean = base["clean"]
-    site = data.draw(
-        st.integers(min_value=1, max_value=base["total_calls"]),
-        label="kill at budget-hook call",
-    )
-    with tempfile.TemporaryDirectory() as ck_dir:
-        try:
-            with inject_faults(f"budget:{site}+"), Budget(
-                max_iterations=10**9
-            ):
-                survived = run_table1_row_robust(
-                    1,
-                    PARAMS,
-                    checkpoint_dir=ck_dir,
-                    parallel=ParallelConfig(workers=2),
-                    lumping_degrade=False,
-                )
-        except BudgetExceeded:
-            survived = None
-        if survived is None:
-            resumed = run_table1_row_robust(
-                1,
-                PARAMS,
-                checkpoint_dir=ck_dir,
-                resume=True,
-                parallel=ParallelConfig(workers=2),
-            )
-            _rows_match(resumed, clean)
-        else:
-            _rows_match(survived, clean)
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,6 @@ Two invariants, per the supervision design:
   (``budget:1+@sigkill``) kills every attempt, so the crash-loop
   circuit breaker must trip after exactly ``max_restarts + 1`` attempts
   with a JSON-serializable diagnosis.
-
-The parallel variants run the same storms with the worker pool engaged
-(``parallel=ParallelConfig(workers=2)``), plus worker-targeted storms (``worker:<slot>`` /
-``task:<id>`` sites killing or stalling pool workers): whatever the
-schedule, the stationary vector must stay bitwise-identical to the
-undisturbed serial run.
 """
 
 import json
@@ -31,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import lump_and_solve
 from repro.robust import faults
-from repro.robust.pool import ParallelConfig
 from repro.robust.retry import RetryPolicy
 from repro.robust.supervisor import CrashLoopError, SupervisorConfig
 from repro.robust.report import RunReport
@@ -104,79 +97,6 @@ def test_storm_of_recoverable_faults_is_bitwise_invisible(
     # rules one-shot across restarts), so the attempt count is bounded
     # by the schedule size.
     assert len(attempts) <= len(schedule) + 1
-
-
-#: One pool-worker storm event: a position-addressed site (worker slot
-#: or 1-based task id), the position, and a process-level effect.
-#: Positions past the pool's width / batch size simply never fire,
-#: which must also leave the numbers untouched.
-pool_event_strategy = st.tuples(
-    st.sampled_from(["worker", "task"]),
-    st.integers(min_value=1, max_value=6),
-    st.sampled_from(["sigkill", "oom", "hang:0.2"]),
-)
-
-pool_schedule_strategy = st.lists(
-    pool_event_strategy,
-    min_size=0,
-    max_size=3,
-    unique_by=lambda event: (event[0], event[1]),
-)
-
-
-@given(schedule=pool_schedule_strategy)
-@STORM
-def test_worker_storm_keeps_parallel_bitwise_equal_to_serial(
-    schedule, small_tandem
-):
-    """Kill/stall pool workers and poisoned tasks at arbitrary
-    positions: the parallel robust run must still match the serial
-    baseline bit for bit (throughput degrades, correctness never)."""
-    baseline = _baseline(small_tandem)
-    spec = ",".join(f"{site}:{n}@{effect}" for site, n, effect in schedule)
-    try:
-        faults.reload_env(spec)
-        solution = lump_and_solve(
-            small_tandem["model"],
-            robust=True,
-            parallel=ParallelConfig(workers=2),
-        )
-    finally:
-        faults.reload_env("")
-    assert np.array_equal(solution.stationary, baseline["stationary"])
-    assert solution.solve_method == baseline["solve_method"]
-    # The pool engaged for the refinement sections.
-    assert solution.report.pool_events_of_kind("worker-started")
-
-
-@given(schedule=schedule_strategy)
-@STORM
-def test_supervised_parallel_storm_is_bitwise_invisible(
-    schedule, small_tandem
-):
-    """The original storm with the pool engaged: budget-site faults now
-    fire in whichever process (supervised child or forked worker)
-    reaches the site — a worker death is absorbed by the pool, a child
-    death by the supervisor — and the answer must not move a bit."""
-    baseline = _baseline(small_tandem)
-    spec = ",".join(f"budget:{n}@{effect}" for n, effect in schedule)
-    checkpoint_dir = tempfile.mkdtemp(prefix="repro-pstorm-")
-    try:
-        faults.reload_env(spec)
-        solution = lump_and_solve(
-            small_tandem["model"],
-            supervised=True,
-            parallel=ParallelConfig(workers=2),
-            checkpoint_dir=checkpoint_dir,
-            supervisor=_fast_config(),
-        )
-    finally:
-        faults.reload_env("")
-        shutil.rmtree(checkpoint_dir, ignore_errors=True)
-    assert np.array_equal(solution.stationary, baseline["stationary"])
-    assert solution.solve_method == baseline["solve_method"]
-    attempts = solution.report.process_attempts
-    assert attempts[-1].exit_reason == "ok"
 
 
 @given(max_restarts=st.integers(min_value=0, max_value=2))

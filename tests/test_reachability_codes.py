@@ -26,11 +26,6 @@ from repro.models import (
     closed_tandem_join,
     redundant_units_join,
 )
-from repro.robust.budgets import Budget, BudgetExceeded
-from repro.robust.checkpoint import Checkpointer
-from repro.robust.pool import ParallelConfig
-from repro.robust.report import RunReport
-from repro.robust.retry import RetryPolicy
 from repro.san import compile_join
 from repro.statespace import (
     Event,
@@ -261,37 +256,3 @@ class TestSeedValidation:
         # (0, 2) would encode to the code of (1, 0), which is reachable.
         with pytest.raises(StateSpaceError, match="not reachable"):
             reach.index_of((0, 2))
-
-
-class TestSerialParallelResume:
-    """Serial and parallel BFS snapshots resume each other."""
-
-    @staticmethod
-    def _config():
-        return ParallelConfig(
-            workers=2,
-            poll_interval_seconds=0.01,
-            heartbeat_min_interval_seconds=0.01,
-            policy=RetryPolicy(max_restarts=2, backoff_initial_seconds=0.0),
-            report=RunReport(),
-        )
-
-    def _kill_then_resume(self, tmp_path, kill_parallel, resume_parallel):
-        model = _small_tandem(1)
-        clean = reachable_bfs(model)
-        ck_dir = str(tmp_path)
-        with pytest.raises(BudgetExceeded):
-            with Checkpointer(ck_dir), Budget(max_states=100):
-                reachable_bfs(model, parallel=kill_parallel)
-        with Checkpointer(ck_dir, resume=True) as ck:
-            resumed = reachable_bfs(model, parallel=resume_parallel)
-        assert any(event.kind == "resumed" for event in ck.events)
-        assert resumed.states == clean.states
-        config = kill_parallel or resume_parallel
-        assert config.report.pool_events_of_kind("worker-started")
-
-    def test_serial_snapshot_resumes_in_parallel(self, tmp_path):
-        self._kill_then_resume(tmp_path, None, self._config())
-
-    def test_parallel_snapshot_resumes_serially(self, tmp_path):
-        self._kill_then_resume(tmp_path, self._config(), None)

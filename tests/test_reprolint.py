@@ -183,26 +183,26 @@ def test_rl007_out_of_scope_path_is_clean():
 
 def test_rl007_worker_pool_module_may_spawn():
     text = "import os\n\n\ndef spawn():\n    return os.fork()\n"
-    report = _lint("src/repro/robust/pool.py", text)
-    assert [f for f in report.findings if f.rule == "RL007"] == []
+    for path in (
+        "src/repro/robust/supervisor.py",
+        "src/repro/service/dispatcher.py",
+    ):
+        report = _lint(path, text)
+        assert [f for f in report.findings if f.rule == "RL007"] == [], path
     assert len(_lint("src/repro/markov/ctmc.py", text).findings) == 1
 
 
 def test_rl008_process_layer_may_import_parallelism():
     text = "import multiprocessing\n"
-    for path in (
-        "src/repro/robust/pool.py",
-        "src/repro/robust/supervisor.py",
-    ):
-        assert _lint(path, text).findings == [], path
+    assert _lint("src/repro/robust/supervisor.py", text).findings == []
     assert len(_lint("src/repro/markov/ctmc.py", text).findings) == 1
 
 
 def test_rl008_completion_order_flagged_even_in_pool():
-    # The determinism half of the rule has no allowlist: even the pool
-    # module must never fold results in completion order.
+    # The determinism half of the rule has no allowlist: even the
+    # process layer must never fold results in completion order.
     text = "def f(pool, work, tasks):\n    return pool.imap_unordered(work, tasks)\n"
-    report = _lint("src/repro/robust/pool.py", text)
+    report = _lint("src/repro/robust/supervisor.py", text)
     assert [f.rule for f in report.findings] == ["RL008"]
 
 

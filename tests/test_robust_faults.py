@@ -165,9 +165,10 @@ def test_after_rule_fires_from_n_onward():
 
 
 class TestPositionAddressedSites:
-    """The ``worker:<slot>`` / ``task:<id>`` sites consulted by the
-    worker pool: matched by explicit position via ``check_at``, not by
-    call count, and wired through ``REPRO_FAULTS`` like any other rule.
+    """Position-addressed sites (``service.slot:<slot>``,
+    ``sweep.point:<index>``): matched by explicit position via
+    ``check_at``, not by call count, and wired through ``REPRO_FAULTS``
+    like any other rule.
     """
 
     def test_check_at_matches_explicit_position(self):
@@ -178,48 +179,12 @@ class TestPositionAddressedSites:
             faults.check_at("task", 3)  # position 3: passes
 
     def test_check_at_does_not_consume_call_counts(self):
-        with inject_faults("worker:2") as injector:
-            faults.check_at("worker", 1)
-            faults.check_at("worker", 1)
+        with inject_faults("service.slot:2") as injector:
+            faults.check_at("service.slot", 1)
+            faults.check_at("service.slot", 1)
             # Position addressing never advances the counted-site
             # counter: the same slot can be checked any number of times.
-            assert injector.call_count("worker") == 0
-
-    def test_env_worker_kill_is_absorbed_by_the_pool(
-        self, restore_env_injector
-    ):
-        from repro.robust.pool import ParallelConfig, WorkerPool
-        from repro.robust.retry import RetryPolicy
-
-        config = ParallelConfig(
-            workers=2,
-            poll_interval_seconds=0.01,
-            policy=RetryPolicy(max_restarts=3, backoff_initial_seconds=0.0),
-        )
-        try:
-            faults.reload_env("worker:2@sigkill")
-            with WorkerPool(lambda x: x + 1, config) as pool:
-                events = pool.events
-                assert pool.run([1, 2, 3, 4]) == [2, 3, 4, 5]
-        finally:
-            faults.reload_env("")
-        assert any(event.kind == "worker-crashed" for event in events)
-
-    def test_env_task_hang_is_transient(self, restore_env_injector):
-        from repro.robust.pool import ParallelConfig, WorkerPool
-        from repro.robust.retry import RetryPolicy
-
-        config = ParallelConfig(
-            workers=2,
-            poll_interval_seconds=0.01,
-            policy=RetryPolicy(max_restarts=3, backoff_initial_seconds=0.0),
-        )
-        try:
-            faults.reload_env("task:1@hang:0.2")
-            with WorkerPool(lambda x: x + 1, config) as pool:
-                assert pool.run([1, 2, 3]) == [2, 3, 4]
-        finally:
-            faults.reload_env("")
+            assert injector.call_count("service.slot") == 0
 
 
 class TestParseErrors:

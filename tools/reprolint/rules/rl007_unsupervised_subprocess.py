@@ -1,11 +1,12 @@
 """RL007: process spawning outside the process layer; unbounded waits.
 
 The supervised-execution layer (:mod:`repro.robust.supervisor`) and the
-fault-tolerant worker pool (:mod:`repro.robust.pool`) are the only
+service dispatcher (:mod:`repro.service.dispatcher`) are the only
 places allowed to create child processes: they are the components that
-pair every child with hard OS limits (``resource.setrlimit``), a
-heartbeat-driven watchdog, and restart-from-checkpoint / task-retry
-semantics.  A ``subprocess.Popen``/``os.fork`` call anywhere else
+pair every child with a heartbeat-driven watchdog and bounded,
+backed-off restarts (restart-from-checkpoint and hard OS limits
+(``resource.setrlimit``) for the supervisor, lease recovery for the
+dispatcher).  A ``subprocess.Popen``/``os.fork`` call anywhere else
 creates an orphan the watchdog cannot see — it can hang forever, leak
 memory past the budget, or survive the parent, and none of it lands in
 the RunReport.
@@ -30,13 +31,12 @@ from typing import Iterator, Tuple, Type
 from reprolint.core import FileContext, Finding, Rule, dotted_name
 
 #: The modules allowed to create child processes: the watchdog
-#: supervisor, the fault-tolerant worker pool built on its machinery,
-#: and the service dispatcher, which supervises its leased workers the
-#: same way (heartbeat watchdog, bounded restarts, drain-and-stop).
+#: supervisor, and the service dispatcher, which supervises its leased
+#: workers the same way (heartbeat watchdog, bounded restarts,
+#: drain-and-stop).
 _PROCESS_LAYER_PATHS = frozenset(
     {
         "src/repro/robust/supervisor.py",
-        "src/repro/robust/pool.py",
         "src/repro/service/dispatcher.py",
     }
 )
@@ -96,9 +96,9 @@ class UnsupervisedSubprocess(Rule):
                     node,
                     f"{name}() spawns a process outside the process "
                     "layer (repro.robust.supervisor / "
-                    "repro.robust.pool) — no rlimits, heartbeat, or "
-                    "restart-from-checkpoint apply; route it through "
-                    "run_supervised() or WorkerPool instead",
+                    "repro.service.dispatcher) — no rlimits, heartbeat, "
+                    "or restart-from-checkpoint apply; route it through "
+                    "run_supervised() instead",
                 )
                 return
         func = node.func

@@ -1,14 +1,12 @@
-"""RL008: ad-hoc parallelism outside the fault-tolerant pool.
+"""RL008: ad-hoc parallelism outside the process layer.
 
-The worker-pool layer (:mod:`repro.robust.pool`) is the one place
-allowed to build parallelism: it pairs every worker with a heartbeat, a
-crash-loop breaker, deterministic retry/reassignment, and — critically —
-a merge that consumes results in sorted task-id order so parallel runs
-stay bitwise-identical to serial ones.  A stray
+The pipeline is serial; the supervised-execution layer
+(:mod:`repro.robust.supervisor`) is the one place allowed to import
+process machinery: it pairs every child with a heartbeat, a crash-loop
+breaker, and restart-from-checkpoint.  A stray
 ``multiprocessing``/``concurrent.futures`` usage elsewhere recreates the
-exact failure modes this repo spent several milestones killing: orphan
-workers no watchdog sees, lost tasks on crash, and results folded in
-completion order.
+failure modes that layer exists to prevent: orphan workers no watchdog
+sees, lost tasks on crash, and results folded in completion order.
 
 Two constructs are flagged:
 
@@ -30,10 +28,9 @@ from typing import Iterator, Tuple, Type, Union
 from reprolint.core import FileContext, Finding, Rule, dotted_name
 
 #: Modules allowed to import process/parallelism machinery: the
-#: fault-tolerant worker pool and the supervised-execution layer.
+#: supervised-execution layer.
 _PROCESS_LAYER_PATHS = frozenset(
     {
-        "src/repro/robust/pool.py",
         "src/repro/robust/supervisor.py",
     }
 )
@@ -57,10 +54,10 @@ class AdHocParallelism(Rule):
     code = "RL008"
     name = "adhoc-parallelism"
     rationale = (
-        "parallel execution outside repro.robust.pool has no heartbeat, "
-        "no crash recovery, and no deterministic task-order merge; "
-        "imap_unordered()/as_completed() iterate in completion order, "
-        "which breaks the parallel == serial bitwise guarantee."
+        "parallel execution outside repro.robust.supervisor has no "
+        "heartbeat, no crash recovery, and no deterministic task-order "
+        "merge; imap_unordered()/as_completed() iterate in completion "
+        "order, which makes results scheduling-dependent."
     )
     node_types: Tuple[Type[ast.AST], ...] = (
         ast.Import,
@@ -83,10 +80,10 @@ class AdHocParallelism(Rule):
                         ctx,
                         node,
                         f"import of {root!r} outside the process layer "
-                        "(repro.robust.pool / repro.robust.supervisor) — "
-                        "ad-hoc workers have no heartbeat, retry, or "
-                        "deterministic merge; fan work out through "
-                        "WorkerPool instead",
+                        "(repro.robust.supervisor) — ad-hoc workers have "
+                        "no heartbeat, retry, or deterministic merge; "
+                        "keep the work serial or run it under "
+                        "run_supervised() instead",
                     )
                     return
             return
@@ -109,6 +106,5 @@ class AdHocParallelism(Rule):
                 node,
                 f"{label}() yields results in completion order — "
                 "scheduling-dependent and unreproducible; consume "
-                "results in sorted task-id order (as WorkerPool.run "
-                "does) instead",
+                "results in sorted task-id order instead",
             )

@@ -1,10 +1,10 @@
 """RL010: lock/lease discipline in the multi-process layer.
 
-The checkpoint directory lock, the pool's worker leases, and the job
-store's claim leases are the only things standing between the parallel
-layer and corrupted manifests / double-solved jobs.  This rule is a
-lightweight race/deadlock detector over them, scoped to
-``checkpoint.py``, ``pool.py``, and ``service/``:
+The checkpoint directory lock and the job store's claim leases are the
+only things standing between concurrent processes and corrupted
+manifests / double-solved jobs.  This rule is a lightweight
+race/deadlock detector over them, scoped to ``checkpoint.py`` and
+``service/``:
 
 * **release-on-all-paths** — every advisory-lock acquisition
   (``fcntl.flock`` with ``LOCK_EX``/``LOCK_SH``, ``.acquire()`` on a
@@ -23,7 +23,7 @@ lightweight race/deadlock detector over them, scoped to
   lock-named>():`` region, no call may reach (through the project call
   graph, exact edges only) a blocking primitive: ``select.select``,
   ``time.sleep``, ``os.read``, pipe drains, ``wait``/``waitpid``, or a
-  solve.  A solve under the manifest lock serializes the whole pool.
+  solve.  A solve under a store lock serializes every worker.
 * **consistent acquisition order** — if lock A is ever taken while B is
   held *and* B while A is held, the codebase has a deadlock waiting for
   the right interleaving; both sites are flagged.
@@ -156,7 +156,7 @@ class LockDiscipline(ProjectRule):
     code = "RL010"
     name = "lock-lease-discipline"
     rationale = (
-        "advisory locks and leases in checkpoint.py/pool.py/service/ "
+        "advisory locks and leases in checkpoint.py/service/ "
         "must be released on all paths, never wrap a blocking call, be "
         "acquired in one consistent order, and never have their claim "
         "view discarded — each violation is a deadlock, a wedged lock, "
@@ -168,7 +168,7 @@ class LockDiscipline(ProjectRule):
             return False
         name = Path(path).name
         return (
-            name in ("checkpoint.py", "pool.py")
+            name == "checkpoint.py"
             or "/service/" in path
             or path.startswith("service/")
         )
