@@ -4,18 +4,25 @@
 would: compositional lumping of an MD model, restriction to the (lumped)
 reachable states, steady-state solution of the lumped chain, and measure
 evaluation — all without ever solving the unlumped chain.
+
+Every mode, and the robust Table-1 row, runs one staged body
+(:func:`_staged_solve`) under the caller's budget, checkpointer and
+run report; supervision runs the same body in watched child processes
+(:func:`_run_body`).
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 import numpy as np
 
 if TYPE_CHECKING:
     from repro.robust.certify import Certificate
+    from repro.robust.retry import DegradationLevel
 
 from repro.errors import LumpingError
 from repro.lumping.compositional import (
@@ -23,10 +30,13 @@ from repro.lumping.compositional import (
     compositional_lump,
 )
 from repro.lumping.md_model import MDModel
-from repro.markov.solvers import steady_state
 from repro.markov.transient import transient_distribution
+from repro.robust import checkpoint
 from repro.robust.budgets import Budget
+from repro.robust.checkpoint import Checkpointer
 from repro.robust.report import RunReport
+
+_Run = TypeVar("_Run")
 
 
 @dataclass
@@ -102,47 +112,6 @@ class LumpedSolution:
         return total
 
 
-def _make_checkpointer(
-    checkpoint_dir: Optional[str],
-    resume: bool,
-    model: MDModel,
-    kind: str,
-    method: str,
-    key: str,
-    iterate: bool,
-    report: Optional[RunReport],
-    checkpoint_interval: Optional[int] = None,
-    checkpoint_keep_last: Optional[int] = None,
-):
-    """A :class:`~repro.robust.checkpoint.Checkpointer` for one
-    ``lump_and_solve`` configuration, or ``None`` when disabled.
-
-    The fingerprint ties the checkpoint directory to the full pipeline
-    configuration, so snapshots from a different model or method are
-    treated as stale in their entirety.
-    """
-    if checkpoint_dir is None:
-        return None
-    from repro.robust.checkpoint import Checkpointer
-
-    fingerprint = (
-        f"lump_and_solve kind={kind} method={method} key={key} "
-        f"iterate={iterate} levels={tuple(model.md.level_sizes)} "
-        f"n={model.num_states()}"
-    )
-    kwargs = {}
-    if checkpoint_interval is not None:
-        kwargs["interval_iterations"] = checkpoint_interval
-    return Checkpointer(
-        checkpoint_dir,
-        resume=resume,
-        fingerprint=fingerprint,
-        report=report,
-        keep_last=checkpoint_keep_last,
-        **kwargs,
-    )
-
-
 def lump_and_solve(
     model: MDModel,
     kind: str = "ordinary",
@@ -152,16 +121,12 @@ def lump_and_solve(
     *,
     robust: bool = False,
     budget: Optional[Budget] = None,
-    solver_chain: Optional[Sequence[str]] = None,
     report: Optional[RunReport] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    checkpoint_interval: Optional[int] = None,
-    checkpoint_keep_last: Optional[int] = None,
     supervised: bool = False,
     supervisor=None,
     certify: bool = False,
-    certificate_tol: Optional[float] = None,
     lumping: Optional[CompositionalLumpingResult] = None,
     x0: Optional[np.ndarray] = None,
 ) -> LumpedSolution:
@@ -170,22 +135,24 @@ def lump_and_solve(
     The model must carry a ``reachable`` restriction (or be fully
     reachable): the lumped chain is solved over the restricted space.
 
-    With ``robust=True`` the pipeline degrades instead of dying: levels
-    whose lumping fails are skipped (identity partition), the solve walks
-    a fallback chain starting at ``method`` (see
-    :func:`repro.robust.fallback.solve_with_fallback`), everything runs
-    under ``budget`` when one is given, and the returned solution carries
-    a :class:`~repro.robust.report.RunReport` describing what degraded
-    and why.
+    Every mode runs the same stages (lumping, solve and, with
+    ``certify``, certification) under ``budget`` when one is given, and
+    records them in ``report`` (a fresh
+    :class:`~repro.robust.report.RunReport` when none is passed), which
+    the returned solution carries.
+
+    Without ``robust`` the solve is ``method`` alone and any failure
+    propagates.  With ``robust=True`` the pipeline degrades instead of
+    dying: levels whose lumping fails are skipped (identity partition),
+    and the solve walks a fallback chain starting at ``method`` (see
+    :func:`repro.robust.fallback.solve_with_fallback`), with every
+    degradation recorded in the report.
 
     With ``checkpoint_dir`` set, the refinement and solver loops write
     crash-safe snapshots there (see :mod:`repro.robust.checkpoint`); with
     ``resume=True`` a rerun continues from the latest valid snapshots
     instead of restarting, falling back to a fresh start (recorded in the
-    report, when robust) on any corrupt or stale snapshot.
-    ``checkpoint_interval`` overrides the snapshot cadence (cooperative
-    iterations between periodic saves) and ``checkpoint_keep_last``
-    garbage-collects all but the newest K snapshots per loop sequence.
+    report) on any corrupt or stale snapshot.
 
     With ``supervised=True`` (implies robust) the whole pipeline runs in
     a watchdog-supervised child process that is restarted from the
@@ -204,9 +171,7 @@ def lump_and_solve(
     step recorded as ``certificate``/``certificate-escalation`` events
     in the report; an exhausted ladder raises
     :class:`~repro.errors.CertificationError` with the last certificate
-    attached.  ``certificate_tol`` overrides the base tolerance
-    (:data:`~repro.robust.certify.DEFAULT_CERTIFICATE_TOL`).  The
-    certificate lands on ``LumpedSolution.certificate``.
+    attached.  The certificate lands on ``LumpedSolution.certificate``.
 
     With ``lumping`` given (a :class:`CompositionalLumpingResult` whose
     ``original`` matches ``model``), the refinement is skipped entirely
@@ -215,13 +180,8 @@ def lump_and_solve(
     separately before passing it here.  With ``x0`` given, iterative
     solve methods are warm-started from it instead of the uniform
     vector (``direct`` ignores it); certification still checks the
-    answer, so a poisoned warm start cannot certify.  Neither is
-    supported under ``supervised=True``.
+    answer, so a poisoned warm start cannot certify.
     """
-    if supervised and (lumping is not None or x0 is not None):
-        raise LumpingError(
-            "lumping=/x0= are not supported with supervised=True"
-        )
     if lumping is not None and (
         lumping.original.md.level_sizes != model.md.level_sizes
         or lumping.kind != kind
@@ -232,195 +192,78 @@ def lump_and_solve(
             f"levels={lumping.original.md.level_sizes}; requested: "
             f"kind={kind!r} levels={model.md.level_sizes})"
         )
-    if supervised:
-        return _lump_and_solve_supervised(
-            model,
-            kind=kind,
-            method=method,
-            iterate=iterate,
-            key=key,
-            budget=budget,
-            solver_chain=solver_chain,
-            report=report,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            config=supervisor,
-            certify=certify,
-            certificate_tol=certificate_tol,
-        )
-    if not robust:
-        ck = _make_checkpointer(
-            checkpoint_dir, resume, model, kind, method, key, iterate, None
-        )
-        solve_method = method
-        certificate = None
-        with (ck if ck is not None else nullcontext()):
-            if lumping is not None:
-                result = lumping
-            else:
-                result = compositional_lump(
-                    model, kind=kind, key=key, iterate=iterate
-                )
-            lumped_ctmc = result.lumped.flat_ctmc()
-            if not lumped_ctmc.is_irreducible():
-                raise LumpingError(
-                    "the lumped chain is not irreducible; restrict the "
-                    "model to a single recurrent class before solving"
-                )
-            solver_kwargs = {}
-            if x0 is not None:
-                from repro.robust.fallback import ITERATIVE_METHODS
-
-                if method in ITERATIVE_METHODS:
-                    solver_kwargs["x0"] = x0
-            stationary = steady_state(
-                lumped_ctmc, method=method, **solver_kwargs
-            ).distribution
-            if certify:
-                from repro.robust.certify import certify_with_escalation
-                from repro.robust.fallback import DEFAULT_SOLVER_CHAIN
-
-                chain = [method] + [
-                    m for m in DEFAULT_SOLVER_CHAIN if m != method
-                ]
-                certified = certify_with_escalation(
-                    stationary,
-                    lumped_ctmc,
-                    method=method,
-                    kind=kind,
-                    lumping=result,
-                    original=model,
-                    chain=chain,
-                    tol=certificate_tol,
-                )
-                stationary = certified.stationary
-                solve_method = certified.method
-                certificate = certified.certificate
-        return LumpedSolution(
-            lumping=result,
-            stationary=stationary,
-            solve_method=solve_method,
-            certificate=certificate,
-        )
-    return _lump_and_solve_robust(
-        model,
-        kind=kind,
-        method=method,
-        iterate=iterate,
-        key=key,
-        budget=budget,
-        solver_chain=solver_chain,
-        report=report,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        checkpoint_interval=checkpoint_interval,
-        checkpoint_keep_last=checkpoint_keep_last,
-        certify=certify,
-        certificate_tol=certificate_tol,
-        lumping=lumping,
-        x0=x0,
+    fingerprint = (
+        f"lump_and_solve kind={kind} method={method} key={key} "
+        f"iterate={iterate} levels={tuple(model.md.level_sizes)} "
+        f"n={model.num_states()}"
+    )
+    body = partial(
+        _staged_solve, lambda _report: model, fingerprint=fingerprint,
+        kind=kind, method=method, iterate=iterate, key=key,
+        robust=robust or supervised, certify=certify, lumping=lumping, x0=x0,
+    )
+    return _run_body(
+        body, supervised=supervised, supervisor=supervisor, budget=budget,
+        report=report, checkpoint_dir=checkpoint_dir, resume=resume,
     )
 
 
-def _lump_and_solve_supervised(
-    model: MDModel,
+def _staged_solve(
+    generate: Callable[[RunReport], MDModel],
+    *,
+    fingerprint: str,
     kind: str,
-    method: str,
-    iterate: bool,
-    key: str,
+    method: str = "direct",
+    iterate: bool = False,
+    key: str = "formal",
+    robust: bool,
+    certify: bool = False,
+    lumping: Optional[CompositionalLumpingResult] = None,
+    x0: Optional[np.ndarray] = None,
     budget: Optional[Budget],
-    solver_chain: Optional[Sequence[str]],
     report: Optional[RunReport],
     checkpoint_dir: Optional[str],
     resume: bool,
-    config=None,
-    certify: bool = False,
-    certificate_tol: Optional[float] = None,
+    rung: Optional["DegradationLevel"] = None,
+    keep_last: Optional[int] = None,
 ) -> LumpedSolution:
-    """The supervised variant: robust pipeline in a watched child."""
-    from repro.robust.supervisor import run_supervised
+    """The pipeline body: ``generate(report)`` returns the model, then
+    the ``lumping``, ``solve`` and (with ``certify``) ``certify`` stages.
 
-    def _attempt(ctx) -> LumpedSolution:
-        level = ctx.degradation
-        chain = (
-            level.solver_chain if level.solver_chain is not None
-            else solver_chain
-        )
-        return _lump_and_solve_robust(
-            model,
-            kind=kind,
-            method=method,
-            iterate=iterate,
-            key=key,
-            budget=ctx.budget,
-            solver_chain=chain,
-            report=ctx.report,
-            checkpoint_dir=ctx.checkpoint_dir,
-            resume=ctx.resume,
-            checkpoint_interval=ctx.checkpoint_interval,
-            checkpoint_keep_last=ctx.checkpoint_keep_last,
-            degrade=level.lumping_degrade,
-            certify=certify,
-            certificate_tol=certificate_tol,
-        )
-
-    supervised = run_supervised(
-        _attempt,
-        checkpoint_dir=checkpoint_dir,
-        config=config,
-        budget=budget,
-        report=report,
-        resume=resume,
-    )
-    solution: LumpedSolution = supervised.result
-    solution.report = supervised.report
-    return solution
-
-
-def _lump_and_solve_robust(
-    model: MDModel,
-    kind: str,
-    method: str,
-    iterate: bool,
-    key: str,
-    budget: Optional[Budget],
-    solver_chain: Optional[Sequence[str]],
-    report: Optional[RunReport],
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    checkpoint_interval: Optional[int] = None,
-    checkpoint_keep_last: Optional[int] = None,
-    degrade: bool = True,
-    certify: bool = False,
-    certificate_tol: Optional[float] = None,
-    lumping: Optional[CompositionalLumpingResult] = None,
-    x0: Optional[np.ndarray] = None,
-) -> LumpedSolution:
-    """The degrading variant of :func:`lump_and_solve`.
-
-    ``degrade=False`` (used by the supervisor's strict baseline rungs)
-    keeps the fallback chain and reporting but makes per-level lumping
-    failures fatal to the attempt instead of skipping the level.
+    Every stage runs under ``budget`` and a checkpointer on
+    ``checkpoint_dir`` (manifest ``fingerprint``, one key scope per
+    stage) and is recorded in ``report``.  A supervised attempt's
+    ``rung`` overrides lumping degradation, the solver chain and the
+    checkpoint cadence; ``keep_last`` is the supervisor's snapshot GC
+    window.  The other keywords are :func:`lump_and_solve`'s.
     """
     from repro.robust.fallback import (
         DEFAULT_SOLVER_CHAIN,
+        ITERATIVE_METHODS,
         solve_with_fallback,
     )
 
     if report is None:
         report = RunReport()
-    if solver_chain is None:
-        # Start at the requested method, then the remaining defaults.
-        solver_chain = [method] + [
-            m for m in DEFAULT_SOLVER_CHAIN if m != method
-        ]
-    ck = _make_checkpointer(
-        checkpoint_dir, resume, model, kind, method, key, iterate, report,
-        checkpoint_interval, checkpoint_keep_last,
-    )
-    scope = budget if budget is not None else nullcontext()
-    with scope, (ck if ck is not None else nullcontext()):
-        with report.stage("lumping") as stage:
+    # Start at the requested method, then the remaining defaults.
+    chain = [method] + [m for m in DEFAULT_SOLVER_CHAIN if m != method]
+    degrade = robust
+    cadence = {}
+    if rung is not None:
+        degrade = rung.lumping_degrade
+        if rung.solver_chain is not None:
+            chain = list(rung.solver_chain)
+        if rung.checkpoint_interval is not None:
+            cadence["interval_iterations"] = rung.checkpoint_interval
+    ck = nullcontext()
+    if checkpoint_dir is not None:
+        ck = Checkpointer(
+            checkpoint_dir, resume=resume, fingerprint=fingerprint,
+            report=report, keep_last=keep_last, **cadence,
+        )
+    with (budget if budget is not None else nullcontext()), ck:
+        model = generate(report)
+        with report.stage("lumping") as stage, checkpoint.scoped("lumping"):
             if lumping is not None:
                 result = lumping
                 stage.detail = "reused precomputed partition"
@@ -435,22 +278,25 @@ def _lump_and_solve_robust(
                     f"{len(result.skipped_levels)} level(s) kept the "
                     "identity partition"
                 )
-        with report.stage("solve") as stage:
+        with report.stage("solve") as stage, checkpoint.scoped("solve"):
             lumped_ctmc = result.lumped.flat_ctmc()
             if not lumped_ctmc.is_irreducible():
                 raise LumpingError(
                     "the lumped chain is not irreducible; restrict the "
                     "model to a single recurrent class before solving"
                 )
-            from repro.robust.fallback import ITERATIVE_METHODS
-
             per_method = (
                 {m: {"x0": x0} for m in ITERATIVE_METHODS}
                 if x0 is not None
                 else None
             )
+            # Without robust the solve is the requested method alone:
+            # one rung and no relaxed-tolerance round.
             solution = solve_with_fallback(
-                lumped_ctmc, chain=solver_chain, per_method=per_method
+                lumped_ctmc,
+                chain=chain if robust else [method],
+                per_method=per_method,
+                **({} if robust else {"relaxation_factor": None}),
             )
             for attempt in solution.attempts:
                 report.record_attempt(
@@ -489,17 +335,18 @@ def _lump_and_solve_robust(
         if certify:
             from repro.robust.certify import certify_with_escalation
 
-            with report.stage("certify") as stage:
+            with report.stage("certify") as stage, checkpoint.scoped(
+                "certify"
+            ):
                 certified = certify_with_escalation(
                     stationary,
                     lumped_ctmc,
-                    method=solution.method,
+                    method=solve_method,
                     kind=kind,
                     lumping=result,
                     original=model,
-                    chain=solver_chain,
+                    chain=chain,
                     report=report,
-                    tol=certificate_tol,
                 )
                 stationary = certified.stationary
                 solve_method = certified.method
@@ -517,3 +364,38 @@ def _lump_and_solve_robust(
         solve_method=solve_method,
         certificate=certificate,
     )
+
+
+def _run_body(
+    body: Callable[..., _Run],
+    *,
+    supervised: bool,
+    supervisor,
+    budget: Optional[Budget],
+    report: Optional[RunReport],
+    checkpoint_dir: Optional[str],
+    resume: bool,
+) -> _Run:
+    """Run ``body``, a pipeline body with its stage arguments bound, in
+    this process or supervised (:mod:`repro.robust.supervisor`: every
+    attempt in a watched child, passing the attempt's ``rung`` and
+    ``keep_last``; the result gets the merged report of all attempts).
+    """
+    if not supervised:
+        return body(
+            budget=budget, report=report, checkpoint_dir=checkpoint_dir,
+            resume=resume,
+        )
+    from repro.robust.supervisor import run_supervised
+
+    run = run_supervised(
+        lambda ctx: body(
+            budget=ctx.budget, report=ctx.report,
+            checkpoint_dir=ctx.checkpoint_dir, resume=ctx.resume,
+            rung=ctx.degradation, keep_last=ctx.checkpoint_keep_last,
+        ),
+        checkpoint_dir=checkpoint_dir, config=supervisor, budget=budget,
+        report=report, resume=resume,
+    )
+    run.result.report = run.report
+    return run.result

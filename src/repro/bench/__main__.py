@@ -138,6 +138,11 @@ def main(argv=None) -> int:
         parser.error("--mem-limit must be positive")
     if args.heartbeat_timeout is not None and args.heartbeat_timeout <= 0:
         parser.error("--heartbeat-timeout must be positive")
+    if args.symbolic and args.robust:
+        parser.error(
+            "--symbolic cannot be combined with --robust or --supervised "
+            "(the robust pipeline generates the state space explicitly)"
+        )
     if args.checkpoint_dir and not args.robust:
         parser.error("--checkpoint-dir requires --robust")
     if args.resume and not args.checkpoint_dir:

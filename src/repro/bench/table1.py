@@ -12,6 +12,11 @@ columns Table 1 reports:
 * lower part: state-space generation time, unlumped MD memory, lumping
   time, lumped MD memory.
 
+The explicit rows share one generation stage (compile, reachability
+engine chain, projection, re-BFS); the robust row hands lumping and the
+solve to :mod:`repro.analysis`'s pipeline body.  Every row times its
+stages with a :class:`~repro.robust.report.RunReport`.
+
 Absolute values differ from the paper (different host, pure Python, and
 rates/encodings the paper does not specify); the *shape* — large
 multiplicative reductions, lump time well under generation time, roughly
@@ -21,21 +26,26 @@ recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis import _run_body, _staged_solve
 from repro.lumping import compositional_lump
+from repro.lumping.compositional import CompositionalLumpingResult
+from repro.lumping.md_model import MDModel
 from repro.matrixdiagram import md_stats
 from repro.models import TandemParams, build_tandem, tandem_md_model
 from repro.models.tandem import projected_event_model
 from repro.robust.budgets import Budget
 from repro.robust.checkpoint import scoped as checkpoint_scoped
+from repro.robust.fallback import reachable_with_fallback
 from repro.robust.report import RunReport
-from repro.statespace import reachable_bfs, reachable_mdd
-from repro.util import Stopwatch, Table, format_bytes, format_seconds
+from repro.statespace import reachable_bfs
+from repro.statespace.reachability import ReachabilityResult
+from repro.util import Table, format_bytes, format_seconds
 
 
 @dataclass
@@ -65,6 +75,99 @@ class Table1Row:
         )
 
 
+def _tandem_params(jobs: int, params: Optional[TandemParams]) -> TandemParams:
+    if params is None:
+        return TandemParams(jobs=jobs)
+    if params.jobs != jobs:
+        raise ValueError("params.jobs disagrees with the jobs argument")
+    return params
+
+
+def _generate_explicit(
+    params: TandemParams, engines: Sequence[str], report: RunReport
+) -> Tuple[ReachabilityResult, MDModel, str]:
+    """The explicit generation stage: compile, reach with the first of
+    ``engines`` that succeeds, project, build the MD model.  Returns the
+    reachable set, the model and the engine that produced the set."""
+    with report.stage("generation") as stage, checkpoint_scoped(
+        "generation"
+    ):
+        compiled = build_tandem(params)
+        engine_run = reachable_with_fallback(
+            compiled.event_model, engines=engines
+        )
+        for attempt in engine_run.attempts:
+            report.record_attempt(
+                stage="generation",
+                name=attempt.engine,
+                succeeded=attempt.succeeded,
+                seconds=attempt.seconds,
+                error=attempt.error,
+            )
+        if engine_run.degraded:
+            stage.status = "degraded"
+            stage.detail = f"reachability via {engine_run.engine!r}"
+            report.record_fallback(
+                stage="generation",
+                requested=engine_run.requested_engine,
+                used=engine_run.engine,
+                reason="; ".join(
+                    a.error for a in engine_run.attempts if a.error
+                )
+                or "earlier engines failed",
+            )
+        reach = engine_run.result
+        event_model = projected_event_model(compiled, reach)
+        if event_model.level_sizes() != compiled.event_model.level_sizes():
+            # The projection shrank some level; recompute the reachable
+            # set in the projected coordinates (labels are preserved, so
+            # the result is the same set; BFS is always available here).
+            # Its own checkpoint scope keeps it from ever aliasing the
+            # first engine's snapshots.
+            with checkpoint_scoped("projected"):
+                reach = reachable_bfs(event_model)
+        else:
+            reach.model = event_model
+        model = tandem_md_model(event_model, params, reachable=reach)
+    return reach, model, engine_run.engine
+
+
+def _lump(
+    model: MDModel, kind: str, report: RunReport
+) -> CompositionalLumpingResult:
+    """The lumping stage of the rows that do not solve."""
+    with report.stage("lumping"):
+        return compositional_lump(model, kind)
+
+
+def _row(
+    jobs: int,
+    lumping: CompositionalLumpingResult,
+    report: RunReport,
+    unlumped_overall: int,
+    unlumped_level_sizes: Sequence[int],
+    lumped_overall: Optional[int] = None,
+) -> Table1Row:
+    """Collect a row from the stage products and the stage timings
+    (``lumped_overall`` defaults to the lumped reachable set's size)."""
+    unlumped_stats = md_stats(lumping.original.md)
+    lumped_stats = md_stats(lumping.lumped.md)
+    if lumped_overall is None:
+        lumped_overall = len(lumping.lumped.reachable)
+    return Table1Row(
+        jobs=jobs,
+        unlumped_overall=unlumped_overall,
+        unlumped_level_sizes=list(unlumped_level_sizes),
+        md_nodes_per_level=list(unlumped_stats.nodes_per_level),
+        lumped_overall=lumped_overall,
+        lumped_level_sizes=list(lumping.lumped.md.level_sizes),
+        generation_seconds=report.stage_seconds("generation"),
+        md_memory_bytes=unlumped_stats.memory_bytes,
+        lump_seconds=report.stage_seconds("lumping"),
+        lumped_md_memory_bytes=lumped_stats.memory_bytes,
+    )
+
+
 def run_table1_row(
     jobs: int,
     params: Optional[TandemParams] = None,
@@ -72,112 +175,54 @@ def run_table1_row(
     kind: str = "ordinary",
 ) -> Table1Row:
     """Run the full pipeline for one ``J`` and collect the row."""
-    if params is None:
-        params = TandemParams(jobs=jobs)
-    elif params.jobs != jobs:
-        raise ValueError("params.jobs disagrees with the jobs argument")
-    watch = Stopwatch()
-    with watch.phase("generation"):
-        compiled = build_tandem(params)
-        if reach_engine == "bfs":
-            reach = reachable_bfs(compiled.event_model)
-        elif reach_engine == "mdd":
-            reach = reachable_mdd(compiled.event_model)
-        else:
-            raise ValueError(f"unknown reach engine {reach_engine!r}")
-        event_model = projected_event_model(compiled, reach)
-        if event_model.level_sizes() != compiled.event_model.level_sizes():
-            # The projection shrank some level; recompute the reachable set
-            # in the projected coordinates (labels are preserved, so the
-            # result is the same set).
-            reach = reachable_bfs(event_model)
-        else:
-            reach.model = event_model
-        model = tandem_md_model(event_model, params, reachable=reach)
-    unlumped_stats = md_stats(model.md)
-
-    with watch.phase("lumping"):
-        result = compositional_lump(model, kind)
-    lumped_stats = md_stats(result.lumped.md)
-
-    return Table1Row(
-        jobs=jobs,
-        unlumped_overall=reach.num_states,
-        unlumped_level_sizes=list(reach.level_sizes()),
-        md_nodes_per_level=list(unlumped_stats.nodes_per_level),
-        lumped_overall=len(result.lumped.reachable),
-        lumped_level_sizes=list(result.lumped.md.level_sizes),
-        generation_seconds=watch.elapsed("generation"),
-        md_memory_bytes=unlumped_stats.memory_bytes,
-        lump_seconds=watch.elapsed("lumping"),
-        lumped_md_memory_bytes=lumped_stats.memory_bytes,
-    )
+    if reach_engine not in ("bfs", "mdd"):
+        raise ValueError(f"unknown reach engine {reach_engine!r}")
+    params = _tandem_params(jobs, params)
+    report = RunReport()
+    reach, model, _ = _generate_explicit(params, (reach_engine,), report)
+    lumping = _lump(model, kind, report)
+    return _row(jobs, lumping, report, reach.num_states, reach.level_sizes())
 
 
 def run_table1_row_symbolic(
     jobs: int,
     params: Optional[TandemParams] = None,
-    strategy: str = "saturation",
     kind: str = "ordinary",
 ) -> Table1Row:
     """Fully symbolic Table-1 row: the reachable set is never enumerated.
 
-    Uses MDD reachability (saturation by default) for the counts and
-    supports, and MDD level-mapping for the lumped state count, so the
-    pipeline scales to state spaces far beyond what explicit enumeration
-    can hold — the regime the paper's MD representation targets.
+    Uses MDD saturation for the counts and supports, and MDD
+    level-mapping for the lumped state count, so the pipeline scales to
+    state spaces far beyond what explicit enumeration can hold — the
+    regime the paper's MD representation targets.
     """
     from repro.statespace.events import project_event_model
     from repro.statespace.reachability import symbolic_reachability
 
-    if params is None:
-        params = TandemParams(jobs=jobs)
-    elif params.jobs != jobs:
-        raise ValueError("params.jobs disagrees with the jobs argument")
-    watch = Stopwatch()
-    with watch.phase("generation"):
+    params = _tandem_params(jobs, params)
+    report = RunReport()
+    with report.stage("generation"):
         compiled = build_tandem(params)
-        symbolic = symbolic_reachability(
-            compiled.event_model, strategy=strategy
-        )
+        symbolic = symbolic_reachability(compiled.event_model)
         supports = symbolic.level_supports()
         event_model = project_event_model(compiled.event_model, supports)
         model = tandem_md_model(event_model, params)
-    unlumped_stats = md_stats(model.md)
-
-    with watch.phase("lumping"):
-        result = compositional_lump(model, kind)
-    lumped_stats = md_stats(result.lumped.md)
+    lumping = _lump(model, kind, report)
 
     # Lumped reachable count: map each original substate to its class
     # (composing the support projection with the per-level partition).
-    class_vectors = [
-        partition.state_class_vector() for partition in result.partitions
-    ]
     mappings = []
-    for level, support in enumerate(supports):
-        position = {substate: i for i, substate in enumerate(support)}
+    for support, partition in zip(supports, lumping.partitions):
+        classes = partition.state_class_vector()
         mappings.append(
-            {
-                substate: class_vectors[level][position[substate]]
-                for substate in support
-            }
+            {substate: classes[i] for i, substate in enumerate(support)}
         )
     lumped_overall = symbolic.mapped_count(
-        mappings, result.lumped.md.level_sizes
+        mappings, lumping.lumped.md.level_sizes
     )
-
-    return Table1Row(
-        jobs=jobs,
-        unlumped_overall=symbolic.num_states,
-        unlumped_level_sizes=[len(s) for s in supports],
-        md_nodes_per_level=list(unlumped_stats.nodes_per_level),
-        lumped_overall=lumped_overall,
-        lumped_level_sizes=list(result.lumped.md.level_sizes),
-        generation_seconds=watch.elapsed("generation"),
-        md_memory_bytes=unlumped_stats.memory_bytes,
-        lump_seconds=watch.elapsed("lumping"),
-        lumped_md_memory_bytes=lumped_stats.memory_bytes,
+    return _row(
+        jobs, lumping, report, symbolic.num_states,
+        [len(s) for s in supports], lumped_overall,
     )
 
 
@@ -202,14 +247,10 @@ def run_table1_row_robust(
     params: Optional[TandemParams] = None,
     engines: Sequence[str] = ("mdd", "bfs"),
     kind: str = "ordinary",
-    solver_chain: Optional[Sequence[str]] = None,
     budget: Optional[Budget] = None,
     report: Optional[RunReport] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    checkpoint_interval: Optional[int] = None,
-    checkpoint_keep_last: Optional[int] = None,
-    lumping_degrade: bool = True,
     supervised: bool = False,
     supervisor=None,
 ) -> RobustTable1Run:
@@ -217,16 +258,15 @@ def run_table1_row_robust(
 
     Runs generation -> lumping -> steady-state solve end to end:
     reachability falls back across ``engines`` (default MDD -> BFS),
-    lumping skips levels that fail (identity partition; disable with
-    ``lumping_degrade=False``), and the solve walks the solver fallback
-    chain.  Every degradation is recorded in the returned report, so the
-    driver can print what degraded and why.
+    and lumping and the solve are the robust stages of
+    :func:`~repro.analysis.lump_and_solve`: lumping skips levels that
+    fail (identity partition) and the solve walks the solver fallback
+    chain.  Every degradation is recorded in the returned report, so
+    the CLI can print what degraded and why.
 
     With ``checkpoint_dir`` set, the reachability/refinement/solver loops
     write crash-safe snapshots (see :mod:`repro.robust.checkpoint`);
-    ``resume=True`` continues a killed or budget-stopped run from them,
-    ``checkpoint_interval`` overrides the snapshot cadence, and
-    ``checkpoint_keep_last`` garbage-collects old snapshots.
+    ``resume=True`` continues a killed or budget-stopped run from them.
 
     With ``supervised=True`` the whole pipeline runs in a
     watchdog-supervised child process, restarted from the latest
@@ -234,205 +274,49 @@ def run_table1_row_robust(
     :mod:`repro.robust.supervisor`.  ``supervisor`` is an optional
     :class:`~repro.robust.supervisor.SupervisorConfig`.
     """
-    if supervised:
-        return _run_table1_row_supervised(
-            jobs,
-            params=params,
-            engines=engines,
-            kind=kind,
-            solver_chain=solver_chain,
-            budget=budget,
-            report=report,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            config=supervisor,
-        )
-    from repro.robust.fallback import (
-        DEFAULT_SOLVER_CHAIN,
-        reachable_with_fallback,
-        solve_with_fallback,
+    body = partial(
+        _robust_row, jobs, _tandem_params(jobs, params), engines, kind
     )
-
-    if params is None:
-        params = TandemParams(jobs=jobs)
-    elif params.jobs != jobs:
-        raise ValueError("params.jobs disagrees with the jobs argument")
-    if report is None:
-        report = RunReport()
-    if solver_chain is None:
-        solver_chain = DEFAULT_SOLVER_CHAIN
-    ck = None
-    if checkpoint_dir is not None:
-        from repro.robust.checkpoint import Checkpointer
-
-        ck_kwargs = {}
-        if checkpoint_interval is not None:
-            ck_kwargs["interval_iterations"] = checkpoint_interval
-        ck = Checkpointer(
-            checkpoint_dir,
-            resume=resume,
-            fingerprint=(
-                f"table1 jobs={jobs} kind={kind} params={params}"
-            ),
-            report=report,
-            keep_last=checkpoint_keep_last,
-            **ck_kwargs,
-        )
-    scope = budget if budget is not None else nullcontext()
-    with scope, (ck if ck is not None else nullcontext()):
-        with report.stage("generation") as stage, checkpoint_scoped(
-            "generation"
-        ):
-            compiled = build_tandem(params)
-            engine_run = reachable_with_fallback(
-                compiled.event_model, engines=engines
-            )
-            for attempt in engine_run.attempts:
-                report.record_attempt(
-                    stage="generation",
-                    name=attempt.engine,
-                    succeeded=attempt.succeeded,
-                    seconds=attempt.seconds,
-                    error=attempt.error,
-                )
-            if engine_run.degraded:
-                stage.status = "degraded"
-                stage.detail = f"reachability via {engine_run.engine!r}"
-                report.record_fallback(
-                    stage="generation",
-                    requested=engine_run.requested_engine,
-                    used=engine_run.engine,
-                    reason="; ".join(
-                        a.error for a in engine_run.attempts if a.error
-                    )
-                    or "earlier engines failed",
-                )
-            reach = engine_run.result
-            event_model = projected_event_model(compiled, reach)
-            if (
-                event_model.level_sizes()
-                != compiled.event_model.level_sizes()
-            ):
-                # Same recomputation as run_table1_row: the projection
-                # shrank a level, so re-derive the set in the projected
-                # coordinates (BFS is always available here).  Its own
-                # checkpoint scope keeps it from ever aliasing the first
-                # BFS's snapshots.
-                with checkpoint_scoped("projected"):
-                    reach = reachable_bfs(event_model)
-            else:
-                reach.model = event_model
-            model = tandem_md_model(event_model, params, reachable=reach)
-        unlumped_stats = md_stats(model.md)
-
-        with report.stage("lumping") as stage, checkpoint_scoped("lumping"):
-            result = compositional_lump(
-                model, kind, degrade=lumping_degrade, report=report
-            )
-            if result.skipped_levels:
-                stage.status = "degraded"
-                stage.detail = (
-                    f"{len(result.skipped_levels)} level(s) kept the "
-                    "identity partition"
-                )
-        lumped_stats = md_stats(result.lumped.md)
-
-        with report.stage("solve") as stage, checkpoint_scoped("solve"):
-            lumped_ctmc = result.lumped.flat_ctmc()
-            solution = solve_with_fallback(lumped_ctmc, chain=solver_chain)
-            for attempt in solution.attempts:
-                report.record_attempt(
-                    stage="solve",
-                    name=attempt.method,
-                    succeeded=attempt.succeeded,
-                    seconds=attempt.seconds,
-                    error=attempt.error,
-                    iterations=attempt.iterations,
-                    residual=attempt.residual,
-                )
-            if solution.degraded:
-                stage.status = "degraded"
-                stage.detail = f"solved by {solution.method!r}"
-                report.record_fallback(
-                    stage="solve",
-                    requested=solution.requested_method,
-                    used=solution.method,
-                    reason="; ".join(
-                        a.error for a in solution.attempts if a.error
-                    )
-                    or "earlier attempts failed",
-                )
-    report.attach_budget(budget)
-
-    row = Table1Row(
-        jobs=jobs,
-        unlumped_overall=reach.num_states,
-        unlumped_level_sizes=list(reach.level_sizes()),
-        md_nodes_per_level=list(unlumped_stats.nodes_per_level),
-        lumped_overall=len(result.lumped.reachable),
-        lumped_level_sizes=list(result.lumped.md.level_sizes),
-        generation_seconds=report.stage_seconds("generation"),
-        md_memory_bytes=unlumped_stats.memory_bytes,
-        lump_seconds=report.stage_seconds("lumping"),
-        lumped_md_memory_bytes=lumped_stats.memory_bytes,
-    )
-    return RobustTable1Run(
-        row=row,
-        report=report,
-        stationary=solution.distribution,
-        solve_method=solution.method,
-        reach_engine=engine_run.engine,
+    return _run_body(
+        body, supervised=supervised, supervisor=supervisor, budget=budget,
+        report=report, checkpoint_dir=checkpoint_dir, resume=resume,
     )
 
 
-def _run_table1_row_supervised(
+def _robust_row(
     jobs: int,
-    params: Optional[TandemParams],
+    params: TandemParams,
     engines: Sequence[str],
     kind: str,
-    solver_chain: Optional[Sequence[str]],
-    budget: Optional[Budget],
-    report: Optional[RunReport],
-    checkpoint_dir: Optional[str],
-    resume: bool,
-    config=None,
+    **wrapping,
 ) -> RobustTable1Run:
-    """The supervised variant: the robust Table-1 pipeline in a watched
-    child process (see :mod:`repro.robust.supervisor`)."""
-    from repro.robust.supervisor import run_supervised
+    """The explicit generation stage as the first stage of the pipeline
+    body, under the ``wrapping`` (budget, report, checkpoints) that
+    :func:`~repro.analysis._run_body` passes."""
+    generated = []
 
-    def _attempt(ctx) -> RobustTable1Run:
-        level = ctx.degradation
-        chain = (
-            level.solver_chain if level.solver_chain is not None
-            else solver_chain
-        )
-        return run_table1_row_robust(
-            jobs,
-            params=params,
-            engines=engines,
-            kind=kind,
-            solver_chain=chain,
-            budget=ctx.budget,
-            report=ctx.report,
-            checkpoint_dir=ctx.checkpoint_dir,
-            resume=ctx.resume,
-            checkpoint_interval=ctx.checkpoint_interval,
-            checkpoint_keep_last=ctx.checkpoint_keep_last,
-            lumping_degrade=level.lumping_degrade,
-        )
+    def generate(report: RunReport) -> MDModel:
+        generated.append(_generate_explicit(params, engines, report))
+        return generated[-1][1]
 
-    supervised = run_supervised(
-        _attempt,
-        checkpoint_dir=checkpoint_dir,
-        config=config,
-        budget=budget,
-        report=report,
-        resume=resume,
+    solution = _staged_solve(
+        generate,
+        fingerprint=f"table1 jobs={jobs} kind={kind} params={params}",
+        kind=kind,
+        robust=True,
+        **wrapping,
     )
-    run: RobustTable1Run = supervised.result
-    run.report = supervised.report
-    return run
+    reach, _, engine = generated[-1]
+    return RobustTable1Run(
+        row=_row(
+            jobs, solution.lumping, solution.report, reach.num_states,
+            reach.level_sizes(),
+        ),
+        report=solution.report,
+        stationary=solution.stationary,
+        solve_method=solution.solve_method,
+        reach_engine=engine,
+    )
 
 
 def render_table1(rows: List[Table1Row]) -> str:

@@ -612,7 +612,6 @@ def certify_with_escalation(
     original: Optional["MDModel"] = None,
     chain: Sequence[str] = (),
     report: Optional["RunReport"] = None,
-    tol: Optional[float] = None,
     solver_tol: float = 1e-12,
     spot_check_limit: int = DEFAULT_SPOT_CHECK_LIMIT,
 ) -> CertifiedSolve:
@@ -646,7 +645,7 @@ def certify_with_escalation(
             original,
             method=label,
             kind=kind,
-            tol=tol,
+            tol=None,
             spot_check_limit=spot_check_limit,
         )
         if report is not None:

@@ -95,7 +95,8 @@ class DegradationLevel:
     #: Enable graceful per-level lumping degradation (identity partition
     #: on levels that fail to refine; still exact).
     lumping_degrade: bool = False
-    #: Override the solver fallback chain (None = caller's chain).
+    #: Override the solver fallback chain (None = the default chain,
+    #: starting at the requested method).
     solver_chain: Optional[Tuple[str, ...]] = None
     #: Multiply the caller's budgets by this factor (1.0 = unchanged).
     budget_scale: float = 1.0

@@ -146,11 +146,11 @@ class AttemptContext:
     """What one supervised attempt gets to work with.
 
     The ``target`` callable receives this: it should run the pipeline
-    under ``budget`` (the robust entry points enter the budget
-    themselves), checkpoint into ``checkpoint_dir`` honouring
-    ``checkpoint_interval``/``checkpoint_keep_last``, resume when
-    ``resume`` is set, record into ``report``, and apply the
-    ``degradation`` rung's knobs (lumping degrade, solver chain).
+    under ``budget`` (the pipeline body enters the budget itself),
+    checkpoint into ``checkpoint_dir`` keeping the last
+    ``checkpoint_keep_last`` snapshots, resume when ``resume`` is set,
+    record into ``report``, and apply the ``degradation`` rung's knobs
+    (checkpoint cadence, lumping degrade, solver chain).
     """
 
     attempt_index: int
@@ -160,7 +160,6 @@ class AttemptContext:
     resume: bool
     budget: Budget
     report: RunReport
-    checkpoint_interval: Optional[int] = None
     checkpoint_keep_last: Optional[int] = None
 
 
@@ -498,7 +497,6 @@ def run_supervised(
             if budget is not None
             else Budget(),
             report=RunReport(),
-            checkpoint_interval=level.checkpoint_interval,
             checkpoint_keep_last=config.checkpoint_keep_last,
         )
         started = time.monotonic()

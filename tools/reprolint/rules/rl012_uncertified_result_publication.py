@@ -50,7 +50,7 @@ CERTIFY_NAMES = frozenset(
 #: Call-graph depth for the does-this-path-certify search.  Deeper than
 #: RL010's blocking search (3): certification legitimately lives several
 #: layers down (_solve -> solve_spec_certified -> lump_and_solve ->
-#: _lump_and_solve_robust -> certify_with_escalation).
+#: _run_body -> _staged_solve -> certify_with_escalation).
 REACH_DEPTH = 8
 
 
