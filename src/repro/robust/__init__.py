@@ -24,10 +24,12 @@ degradation first-class across the pipeline:
   right" is a checked property instead of an assumption;
 * :mod:`repro.robust.supervisor` (with :mod:`~repro.robust.heartbeat`
   and :mod:`~repro.robust.retry`) — supervised execution: the pipeline
-  in a forked child under hard OS limits, a watchdog that tells slow
-  from hung via budget-site heartbeats, automatic restart from the
+  in a forked child under an address-space limit, a watchdog that tells
+  slow from hung via budget-site heartbeats, automatic restart from the
   latest checkpoint with backoff and a progressive degradation ladder,
-  and a crash-loop circuit breaker with a structured diagnosis.
+  and a crash-loop circuit breaker with a structured diagnosis.  Its
+  watched child is the library's one process primitive: the service
+  dispatcher runs its workers through it too.
 
 ``fallback`` and the supervision modules are loaded lazily (PEP 562):
 ``fallback`` imports the solvers, which in turn import

@@ -214,25 +214,21 @@ class PoolEvent:
 
     kind: str
     worker: Optional[int] = None
-    task: Optional[str] = None
     detail: str = ""
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "kind": self.kind,
             "worker": self.worker,
-            "task": self.task,
             "detail": self.detail,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "PoolEvent":
         worker = data.get("worker")
-        task = data.get("task")
         return cls(
             kind=str(data.get("kind", "")),
             worker=None if worker is None else int(worker),
-            task=None if task is None else str(task),
             detail=str(data.get("detail", "")),
         )
 
@@ -327,11 +323,10 @@ class RunReport:
         self,
         kind: str,
         worker: Optional[int] = None,
-        task: Optional[str] = None,
         detail: str = "",
     ) -> PoolEvent:
         """Record one worker-pool lifecycle event."""
-        event = PoolEvent(kind=kind, worker=worker, task=task, detail=detail)
+        event = PoolEvent(kind=kind, worker=worker, detail=detail)
         self.pool_events.append(event)
         return event
 
@@ -499,8 +494,6 @@ class RunReport:
             line = f"  pool {event.kind}"
             if event.worker is not None:
                 line += f" worker={event.worker}"
-            if event.task is not None:
-                line += f" task={event.task}"
             if event.detail:
                 line += f"  ({event.detail})"
             lines.append(line)

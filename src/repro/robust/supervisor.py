@@ -8,15 +8,18 @@ from the latest valid checkpoint — no human in the loop.
 
 The moving parts:
 
-* **Isolation** — :func:`run_supervised` forks; the child applies
-  ``resource.setrlimit`` (address space, CPU) from the
+* **The watched child** — :class:`WatchedChild` is the library's one
+  process primitive, and the only code that forks, SIGKILLs or reaps.
+  The child installs a heartbeat (:mod:`repro.robust.heartbeat`) that
+  is touched at every cooperative budget-check site; the parent's
+  :meth:`~WatchedChild.poll` reaps and classifies the exit, and SIGKILLs
+  a child whose beat goes stale ("hung"), while a slow-but-beating
+  child is left alone.  :func:`run_supervised` runs each attempt in one,
+  and the service dispatcher (:mod:`repro.service.dispatcher`) runs each
+  worker slot in one.
+* **Isolation** — each attempt applies ``RLIMIT_AS`` from the
   :class:`SupervisorConfig` and runs the caller's ``target`` callable.
   A memory blowup kills the child, never the driver.
-* **Liveness** — the child installs a heartbeat
-  (:mod:`repro.robust.heartbeat`) that is touched at every cooperative
-  budget-check site; the parent polls it and SIGKILLs a child whose
-  beat goes stale ("hung"), while a slow-but-beating child is left
-  alone.
 * **Recovery** — every attempt after the first resumes from the
   checkpoint directory, so completed work is never repeated; restarts
   back off exponentially with deterministic jitter
@@ -40,15 +43,13 @@ attempt.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import signal
 import tempfile
 import time
-import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.robust import faults, heartbeat
@@ -63,6 +64,7 @@ from repro.robust.retry import (
     DEFAULT_LADDER,
     DegradationLevel,
     RetryPolicy,
+    level_for_failures,
     scale_budget,
 )
 
@@ -72,6 +74,20 @@ _EXIT_OK = 0
 _EXIT_ERROR = 1
 _EXIT_BUDGET = 17
 _EXIT_OOM = 19
+
+#: Exit code -> exit reason; any other exit code is ``"error"``.
+_EXIT_REASONS = {_EXIT_OK: "ok", _EXIT_BUDGET: "budget", _EXIT_OOM: "oom"}
+
+#: Parent poll cadence while a supervised attempt runs.
+POLL_INTERVAL_SECONDS = 0.02
+#: Checkpoint GC window handed to every supervised attempt.
+CHECKPOINT_KEEP_LAST = 8
+#: Where an attempt leaves its report with its result or error, inside
+#: the supervisor's work directory under the checkpoint directory.
+_OUTCOME_NAME = "outcome.pkl"
+#: How long an interrupted :func:`run_supervised` lets its child honour
+#: SIGTERM before it is SIGKILLed.
+_STOP_GRACE_SECONDS = 1.0
 
 
 class SupervisorError(ReproError):
@@ -100,44 +116,20 @@ class SupervisorConfig:
     """Everything the parent needs to supervise a run."""
 
     policy: RetryPolicy = field(default_factory=RetryPolicy)
-    ladder: Tuple[DegradationLevel, ...] = DEFAULT_LADDER
     #: Hard address-space cap applied in the child (None = no cap).
     mem_limit_bytes: Optional[int] = None
-    #: Hard CPU-seconds cap applied in the child (None = no cap).
-    cpu_limit_seconds: Optional[int] = None
     #: Beat staleness beyond which the watchdog declares "hung".
     heartbeat_timeout_seconds: float = 30.0
-    #: Floor between the child's heartbeat file writes.
-    heartbeat_interval_seconds: float = 0.05
-    #: Parent poll cadence while the child runs.
-    poll_interval_seconds: float = 0.02
-    #: Checkpoint GC window passed to the child's checkpointer.
-    checkpoint_keep_last: Optional[int] = 8
 
     def __post_init__(self) -> None:
-        if not self.ladder:
-            raise ValueError("the degradation ladder must not be empty")
         if self.heartbeat_timeout_seconds <= 0:
             raise ValueError(
                 "heartbeat_timeout_seconds must be > 0, "
                 f"not {self.heartbeat_timeout_seconds!r}"
             )
-        if self.poll_interval_seconds <= 0:
-            raise ValueError(
-                "poll_interval_seconds must be > 0, "
-                f"not {self.poll_interval_seconds!r}"
-            )
         if self.mem_limit_bytes is not None and self.mem_limit_bytes <= 0:
             raise ValueError(
                 f"mem_limit_bytes must be > 0, not {self.mem_limit_bytes!r}"
-            )
-        if (
-            self.cpu_limit_seconds is not None
-            and self.cpu_limit_seconds <= 0
-        ):
-            raise ValueError(
-                "cpu_limit_seconds must be > 0, "
-                f"not {self.cpu_limit_seconds!r}"
             )
 
 
@@ -172,150 +164,193 @@ class SupervisedResult:
     attempts: List[ProcessAttemptReport]
 
 
+# ----------------------------------------------------------------------
+# the watched child
+# ----------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
-class _Paths:
-    """The supervisor's scratch files inside the checkpoint directory."""
+class ChildExit:
+    """How a :class:`WatchedChild` ended."""
 
-    workdir: str
-    heartbeat: str
-    result: str
-    child_report: str
-    error: str
-    fired_log: str
-
-    @classmethod
-    def under(cls, checkpoint_dir: str) -> "_Paths":
-        workdir = os.path.join(checkpoint_dir, "_supervisor")
-        os.makedirs(workdir, exist_ok=True)
-        return cls(
-            workdir=workdir,
-            heartbeat=os.path.join(workdir, "heartbeat"),
-            result=os.path.join(workdir, "result.pkl"),
-            child_report=os.path.join(workdir, "report.json"),
-            error=os.path.join(workdir, "error.json"),
-            fired_log=os.path.join(workdir, "faults-fired.log"),
-        )
+    #: ``"ok"``/``"error"``/``"budget"``/``"oom"`` by exit code,
+    #: ``"signal"`` when a signal killed it, ``"hung"`` when the
+    #: watchdog did.
+    reason: str
+    exit_code: Optional[int]
+    signal: Optional[int]
+    #: The ``wait4`` resource usage (``None`` if it was reaped elsewhere).
+    rusage: Any
+    #: One line for reports: ``exit 1``, ``signal 9``, ``hung: ...``.
+    detail: str
 
 
-# ----------------------------------------------------------------------
-# child side
-# ----------------------------------------------------------------------
+class WatchedChild:
+    """One forked child under a heartbeat watchdog.
 
+    The child installs a heartbeat at ``heartbeat_path`` (so every
+    cooperative budget-check site beats), beats once, runs ``run()`` and
+    exits with its return value — 1 if it raises.  The parent calls
+    :meth:`poll` until it returns the child's :class:`ChildExit`, or
+    :meth:`stop` to end it early.  The call that reports the exit has
+    reaped the child, so none is left running or a zombie.
+    """
 
-def _apply_rlimits(config: SupervisorConfig, report: RunReport) -> None:
-    """Apply the configured hard OS limits to the current process."""
-    if config.mem_limit_bytes is None and config.cpu_limit_seconds is None:
-        return
-    try:
-        import resource
-    except ImportError:
-        report.note("supervisor: resource module unavailable; no rlimits")
-        return
-    if config.mem_limit_bytes is not None:
+    def __init__(self, run: Callable[[], int], heartbeat_path: str) -> None:
+        # A beat an earlier child left at this path is not this one's.
+        _unlink_quietly(heartbeat_path)
+        self._monitor = heartbeat.HeartbeatMonitor(heartbeat_path)
+        self._ended: Optional[ChildExit] = None
+        self._spawned_at = time.monotonic()
         try:
-            resource.setrlimit(
-                resource.RLIMIT_AS,
-                (config.mem_limit_bytes, config.mem_limit_bytes),
+            self.pid = os.fork()
+        except OSError as exc:
+            raise SupervisorError(
+                f"cannot fork a supervised child: {exc}"
+            ) from exc
+        if self.pid == 0:
+            code = _EXIT_ERROR
+            try:
+                heartbeat.install(heartbeat_path).beat(force=True)
+                code = run()
+            except BaseException:  # reprolint: disable=RL005 -- forked child: the nonzero exit code IS the report; the parent records the exit
+                code = _EXIT_ERROR
+            finally:
+                # Skip interpreter teardown entirely: the child shares
+                # the parent's file descriptors, atexit hooks, and
+                # (under pytest) capture machinery, none of which may
+                # run twice.
+                os._exit(code)
+
+    def poll(self, timeout: float) -> Optional[ChildExit]:
+        """The child's exit once it has ended, else ``None``.
+
+        A child whose last beat is more than ``timeout`` seconds old —
+        or that has not beaten within ``timeout`` of its spawn, so one
+        that wedges during startup is still bounded — is hung: it is
+        SIGKILLed and reaped in this call and reported ``"hung"``.
+        """
+        if self._ended is None and self._reap(os.WNOHANG) is None:
+            age = self._monitor.age_seconds()
+            if age is not None and age > timeout:
+                self._kill(f"hung: heartbeat {age:.1f}s stale; killed")
+            elif age is None and time.monotonic() - self._spawned_at > timeout:
+                self._kill(
+                    f"hung: no heartbeat within {timeout:.1f}s of spawn; "
+                    "killed"
+                )
+        return self._ended
+
+    def stop(self, grace: float) -> None:
+        """End the child: SIGTERM, up to ``grace`` seconds to exit, then
+        SIGKILL.  Either way it is reaped."""
+        if self._ended is not None:
+            return
+        try:
+            os.kill(self.pid, signal.SIGTERM)
+        except ProcessLookupError:
+            pass  # reaped elsewhere; the reap below records it
+        deadline = time.monotonic() + grace
+        while self._reap(os.WNOHANG) is None:
+            if time.monotonic() >= deadline:
+                self._kill(None)
+                return
+            time.sleep(POLL_INTERVAL_SECONDS)
+
+    def _kill(self, hung: Optional[str]) -> None:
+        """SIGKILL the child and reap it; ``hung`` is the watchdog's
+        detail when the watchdog is the one killing it."""
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # reaped elsewhere; the reap below records it
+        ended = self._reap(0)
+        if hung is not None and ended is not None:
+            self._ended = ChildExit(
+                "hung", None, signal.SIGKILL, ended.rusage, hung
             )
-        except (ValueError, OSError) as exc:
-            report.note(f"supervisor: cannot set RLIMIT_AS: {exc}")
-    if config.cpu_limit_seconds is not None:
-        # Soft limit delivers SIGXCPU (default: terminate); the hard
-        # limit a little above it is the SIGKILL backstop.
-        soft = int(config.cpu_limit_seconds)
+
+    def _reap(self, flags: int) -> Optional[ChildExit]:
+        """``wait4`` the child with ``flags``; once it is reaped, records
+        and returns its exit, classified by exit code or signal."""
         try:
-            resource.setrlimit(resource.RLIMIT_CPU, (soft, soft + 5))
-        except (ValueError, OSError) as exc:
-            report.note(f"supervisor: cannot set RLIMIT_CPU: {exc}")
+            pid, status, rusage = os.wait4(self.pid, flags)
+        except ChildProcessError:
+            # Someone else reaped it and its status went with them; a
+            # clean exit is what the caller's own checks then confirm
+            # or refute (the supervisor still needs its outcome file).
+            self._ended = ChildExit("ok", 0, None, None, "reaped elsewhere")
+            return self._ended
+        if pid != self.pid:
+            return None
+        code = os.waitstatus_to_exitcode(status)
+        if code < 0:
+            self._ended = ChildExit(
+                "signal", None, -code, rusage, f"signal {-code}"
+            )
+        else:
+            reason = _EXIT_REASONS.get(code, "error")
+            self._ended = ChildExit(reason, code, None, rusage, f"exit {code}")
+        return self._ended
 
 
-def _write_error(path: str, reason: str, exc: BaseException) -> None:
-    """Best-effort structured error record for the parent to read."""
+# ----------------------------------------------------------------------
+# child side of a supervised attempt
+# ----------------------------------------------------------------------
+
+
+def _apply_mem_limit(limit: Optional[int], report: RunReport) -> None:
+    """Cap the current process's address space (``RLIMIT_AS``)."""
+    if limit is None:
+        return
+    import resource  # POSIX only, as is the fork that got us here
+
     try:
-        atomic_write_bytes(
-            path,
-            json.dumps(
-                {
-                    "reason": reason,
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "traceback": traceback.format_exc(),
-                }
-            ).encode("utf-8"),
-        )
-    except (CheckpointError, TypeError, ValueError):
-        # Recording the failure failed (disk full, unserializable
-        # detail); the parent still classifies the attempt from the
-        # exit code, so there is nothing more useful to do before
-        # the child _exits.
-        pass
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    except (ValueError, OSError) as exc:
+        report.note(f"supervisor: cannot set RLIMIT_AS: {exc}")
 
 
-def _child_main(
+def _write_outcome(path: str, ctx: AttemptContext, **outcome: Any) -> None:
+    """Atomically write the attempt's report with its result or error:
+    one file, so the parent never reads a result whose history is
+    missing."""
+    ctx.report.attach_budget(ctx.budget)
+    outcome["report"] = ctx.report.to_dict()
+    atomic_write_bytes(path, pickle.dumps(outcome))
+
+
+def _run_attempt(
     target: Callable[[AttemptContext], Any],
     ctx: AttemptContext,
-    config: SupervisorConfig,
-    paths: _Paths,
-) -> None:
-    """Run one attempt in the forked child.  Never returns."""
-    code = _EXIT_ERROR
+    mem_limit_bytes: Optional[int],
+    workdir: str,
+) -> int:
+    """Run one attempt in its watched child; returns the exit code."""
+    outcome_path = os.path.join(workdir, _OUTCOME_NAME)
     try:
-        _apply_rlimits(config, ctx.report)
-        faults.set_fired_log(paths.fired_log)
-        hb = heartbeat.install(
-            paths.heartbeat,
-            min_interval_seconds=config.heartbeat_interval_seconds,
-        )
-        hb.beat(force=True)
-        result = target(ctx)
-        hb.beat(force=True)
-        ctx.report.attach_budget(ctx.budget)
-        atomic_write_bytes(
-            paths.child_report,
-            json.dumps(ctx.report.to_dict()).encode("utf-8"),
-        )
-        # The report lands before the result: a kill between the two
-        # writes loses the result (attempt retried) but never yields a
-        # result whose history is missing.
-        atomic_write_bytes(paths.result, pickle.dumps(result))
-        code = _EXIT_OK
-    except BudgetExceeded as exc:
-        ctx.report.note(f"supervised attempt: budget exhausted: {exc}")
-        _flush_child_report(ctx, paths)
-        _write_error(paths.error, "budget", exc)
-        code = _EXIT_BUDGET
-    except MemoryError as exc:
-        ctx.report.note(f"supervised attempt: out of memory: {exc}")
-        _flush_child_report(ctx, paths)
-        _write_error(paths.error, "oom", exc)
-        code = _EXIT_OOM
+        _apply_mem_limit(mem_limit_bytes, ctx.report)
+        faults.set_fired_log(os.path.join(workdir, "faults-fired.log"))
+        _write_outcome(outcome_path, ctx, result=target(ctx))
+        return _EXIT_OK
     except BaseException as exc:
-        ctx.report.note(
-            f"supervised attempt failed: {type(exc).__name__}: {exc}"
-        )
-        _flush_child_report(ctx, paths)
-        _write_error(paths.error, "error", exc)
-        code = _EXIT_ERROR
-    finally:
-        # Skip interpreter teardown entirely: the child shares the
-        # parent's file descriptors, atexit hooks, and (under pytest)
-        # capture machinery, none of which may run twice.
-        os._exit(code)
-
-
-def _flush_child_report(ctx: AttemptContext, paths: _Paths) -> None:
-    """Best-effort persistence of a failing attempt's report."""
+        error = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, BudgetExceeded):
+            code = _EXIT_BUDGET
+            ctx.report.note(f"supervised attempt: budget exhausted: {exc}")
+        elif isinstance(exc, MemoryError):
+            code = _EXIT_OOM
+            ctx.report.note(f"supervised attempt: out of memory: {exc}")
+        else:
+            code = _EXIT_ERROR
+            ctx.report.note(f"supervised attempt failed: {error}")
     try:
-        ctx.report.attach_budget(ctx.budget)
-        atomic_write_bytes(
-            paths.child_report,
-            json.dumps(ctx.report.to_dict()).encode("utf-8"),
-        )
+        _write_outcome(outcome_path, ctx, error=error)
     except (CheckpointError, TypeError, ValueError):
         # The exit code still records *that* the attempt failed; a
-        # missing per-attempt report only loses detail, never the
-        # outcome.
+        # missing outcome only loses detail, never the outcome.
         pass
+    return code
 
 
 # ----------------------------------------------------------------------
@@ -323,67 +358,21 @@ def _flush_child_report(ctx: AttemptContext, paths: _Paths) -> None:
 # ----------------------------------------------------------------------
 
 
-def _classify_exit(status: int) -> Tuple[str, Optional[int], Optional[int]]:
-    """Map a ``wait4`` status to (exit_reason, exit_code, signal)."""
-    if os.WIFSIGNALED(status):
-        return "signal", None, os.WTERMSIG(status)
-    if os.WIFEXITED(status):
-        code = os.WEXITSTATUS(status)
-        if code == _EXIT_OK:
-            return "ok", code, None
-        if code == _EXIT_BUDGET:
-            return "budget", code, None
-        if code == _EXIT_OOM:
-            return "oom", code, None
-        return "error", code, None
-    return "error", None, None
-
-
-def _watch(
-    pid: int,
-    monitor: heartbeat.HeartbeatMonitor,
-    config: SupervisorConfig,
-    started: float,
-) -> Tuple[str, Optional[int], Optional[int], Any]:
-    """Wait for the child, killing it if its heartbeat goes stale.
-
-    Returns (exit_reason, exit_code, signal, rusage).
-    """
-    while True:
-        wpid, status, rusage = os.wait4(pid, os.WNOHANG)
-        if wpid == pid:
-            reason, code, sig = _classify_exit(status)
-            return reason, code, sig, rusage
-        age = monitor.age_seconds()
-        if age is None:
-            # No beat yet: measure from attempt start so a child that
-            # wedges before its first beat is still bounded.
-            age = time.monotonic() - started
-        if age > config.heartbeat_timeout_seconds:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass  # exited in the race window; reap below
-            _, status, rusage = os.wait4(pid, 0)
-            return "hung", None, signal.SIGKILL, rusage
-        time.sleep(config.poll_interval_seconds)
-
-
-def _read_json(path: str) -> Optional[dict]:
+def _read_outcome(path: str) -> Dict[str, Any]:
+    """The attempt's outcome, or ``{}`` when missing or unreadable."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return loaded if isinstance(loaded, dict) else None
+        with open(path, "rb") as handle:
+            loaded = pickle.load(handle)
+    except (OSError, pickle.PickleError, EOFError):
+        return {}
+    return loaded if isinstance(loaded, dict) else {}
 
 
-def _unlink_quietly(*paths: str) -> None:
-    for path in paths:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def _diagnosis(
@@ -414,7 +403,7 @@ def _diagnosis(
         ),
         "signal": (
             "the child is being killed externally (OOM killer, fault "
-            "injection, CPU rlimit); check dmesg and REPRO_FAULTS"
+            "injection); check dmesg and REPRO_FAULTS"
         ),
         "error": "inspect last_error; the failure reproduces every attempt",
     }
@@ -449,7 +438,9 @@ def run_supervised(
     the degradation ladder.  ``BudgetExceeded`` in the child is
     *terminal* — the caller asked for a bounded run, so the bound is
     honoured, re-raised here exactly as the unsupervised robust path
-    would.
+    would.  An exception raised in this process while an attempt runs
+    (``KeyboardInterrupt``, say) stops and reaps the child before it
+    propagates.
 
     Raises :class:`CrashLoopError` once ``policy.max_restarts`` restarts
     have all failed.
@@ -462,17 +453,16 @@ def run_supervised(
             "supervisor: no checkpoint_dir given; snapshots in "
             f"temporary {checkpoint_dir}"
         )
-    paths = _Paths.under(checkpoint_dir)
-    monitor = heartbeat.HeartbeatMonitor(paths.heartbeat)
+    workdir = os.path.join(checkpoint_dir, "_supervisor")
+    os.makedirs(workdir, exist_ok=True)
+    outcome_path = os.path.join(workdir, _OUTCOME_NAME)
     manifest_path = os.path.join(checkpoint_dir, MANIFEST_NAME)
 
     attempts: List[ProcessAttemptReport] = []
     failures = 0
     last_error: Optional[str] = None
-    max_attempts = config.policy.max_restarts + 1
-    for attempt_index in range(max_attempts):
-        level_index = min(failures, len(config.ladder) - 1)
-        level = config.ladder[level_index]
+    for attempt_index in range(config.policy.max_restarts + 1):
+        level = level_for_failures(failures)
         backoff = 0.0
         if attempt_index > 0:
             backoff = config.policy.backoff_seconds(attempt_index - 1)
@@ -484,12 +474,10 @@ def run_supervised(
             if resume_this and os.path.exists(manifest_path)
             else None
         )
-        _unlink_quietly(
-            paths.heartbeat, paths.result, paths.child_report, paths.error
-        )
+        _unlink_quietly(outcome_path)
         ctx = AttemptContext(
             attempt_index=attempt_index,
-            degradation_index=level_index,
+            degradation_index=DEFAULT_LADDER.index(level),
             degradation=level,
             checkpoint_dir=checkpoint_dir,
             resume=resume_this,
@@ -497,41 +485,45 @@ def run_supervised(
             if budget is not None
             else Budget(),
             report=RunReport(),
-            checkpoint_keep_last=config.checkpoint_keep_last,
+            checkpoint_keep_last=CHECKPOINT_KEEP_LAST,
         )
         started = time.monotonic()
-        try:
-            pid = os.fork()
-        except OSError as exc:
-            raise SupervisorError(
-                f"cannot fork a supervised child: {exc}"
-            ) from exc
-        if pid == 0:
-            _child_main(target, ctx, config, paths)
-            os._exit(_EXIT_ERROR)  # unreachable: _child_main never returns
-        reason, exit_code, sig, rusage = _watch(
-            pid, monitor, config, started
+        child = WatchedChild(
+            lambda: _run_attempt(target, ctx, config.mem_limit_bytes, workdir),
+            os.path.join(workdir, "heartbeat"),
         )
+        try:
+            ended = child.poll(config.heartbeat_timeout_seconds)
+            while ended is None:
+                time.sleep(POLL_INTERVAL_SECONDS)
+                ended = child.poll(config.heartbeat_timeout_seconds)
+        except BaseException:
+            # Left running, the child would go on writing snapshots into
+            # a directory the caller may resume from, then linger as a
+            # zombie.
+            child.stop(_STOP_GRACE_SECONDS)
+            raise
         seconds = time.monotonic() - started
 
-        child_report_data = _read_json(paths.child_report)
-        if child_report_data is not None:
-            report.merge(RunReport.from_dict(child_report_data))
-        error_detail: Optional[str] = None
-        error_data = _read_json(paths.error)
-        if error_data is not None:
-            error_detail = (
-                f"{error_data.get('type')}: {error_data.get('message')}"
-            )
+        outcome = _read_outcome(outcome_path)
+        if "report" in outcome:
+            report.merge(RunReport.from_dict(outcome["report"]))
+        reason = ended.reason
+        error: Optional[str] = outcome.get("error")
+        if reason == "ok" and "result" not in outcome:
+            # Exit 0 without a readable result: a failed attempt (the
+            # checkpoints are still good).
+            reason, error = "error", "exit 0 without a readable result"
+        rusage = ended.rusage
         attempt_record = ProcessAttemptReport(
             index=attempt_index,
             exit_reason=reason,
             seconds=seconds,
-            degradation_index=level_index,
+            degradation_index=ctx.degradation_index,
             degradation=level.name,
             resumed_from=resumed_from,
-            exit_code=exit_code,
-            signal=sig,
+            exit_code=ended.exit_code,
+            signal=ended.signal,
             max_rss_bytes=(
                 rusage.ru_maxrss * 1024 if rusage is not None else None
             ),
@@ -540,42 +532,25 @@ def run_supervised(
                 if rusage is not None
                 else None
             ),
-            error=error_detail,
+            error=error,
             backoff_seconds=backoff,
         )
-
-        if reason == "ok":
-            try:
-                with open(paths.result, "rb") as handle:
-                    result = pickle.load(handle)
-            except (OSError, pickle.PickleError, EOFError) as exc:
-                # Exit 0 without a readable result: treat as a failed
-                # attempt (the checkpoints are still good).
-                attempt_record.exit_reason = "error"
-                attempt_record.error = f"result unreadable: {exc}"
-                report.record_process_attempt(attempt_record)
-                attempts.append(attempt_record)
-                failures += 1
-                last_error = attempt_record.error
-                continue
-            report.record_process_attempt(attempt_record)
-            attempts.append(attempt_record)
-            return SupervisedResult(
-                result=result, report=report, attempts=attempts
-            )
-
         report.record_process_attempt(attempt_record)
         attempts.append(attempt_record)
+        if reason == "ok":
+            return SupervisedResult(
+                result=outcome["result"], report=report, attempts=attempts
+            )
         if reason == "budget":
             # Terminal by design: retrying cannot succeed within the
             # caller's bound, and silently removing the bound would
             # betray it.
             raise BudgetExceeded(
                 "supervised run stopped by its budget"
-                + (f": {error_detail}" if error_detail else "")
+                + (f": {error}" if error else "")
             )
         failures += 1
-        last_error = error_detail or f"exit reason {reason!r}"
+        last_error = error or f"exit reason {reason!r}"
 
     diagnosis = _diagnosis(attempts, config, checkpoint_dir)
     raise CrashLoopError(

@@ -1,12 +1,13 @@
 """The dispatcher: supervised worker processes over the shared store.
 
-The dispatcher is the service's parent process.  It forks ``workers``
-child processes, each running the :class:`ServiceWorker` loop against
-the same store root, and supervises them the way
-:mod:`repro.robust.supervisor` supervises a pipeline stage:
+The dispatcher is the service's parent process.  It runs ``workers``
+slots, each a :class:`~repro.robust.supervisor.WatchedChild` — the
+supervisor's own forked, heartbeat-watched child — running the
+:class:`ServiceWorker` loop against the same store root:
 
-* each worker writes a file heartbeat; a stale heartbeat means the
-  worker is hung and gets SIGKILLed,
+* each worker's heartbeat is hooked into the budget-check sites; a
+  stale heartbeat means the worker is hung, and the watchdog SIGKILLs
+  and reaps it — one ``worker-crashed`` event per death,
 * a dead worker (crash, OOM-kill, watchdog kill) is restarted with the
   :class:`RetryPolicy`'s exponential backoff + deterministic jitter,
 * a worker slot that keeps dying trips a per-slot crash-loop breaker
@@ -32,12 +33,12 @@ import signal
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.robust import faults, heartbeat
-from repro.robust.heartbeat import HeartbeatMonitor
 from repro.robust.report import RunReport
 from repro.robust.retry import RetryPolicy
+from repro.robust.supervisor import ChildExit, WatchedChild
 from repro.service.cache import ResultCache
 from repro.service.store import (
     DEFAULT_LEASE_SECONDS,
@@ -45,6 +46,15 @@ from repro.service.store import (
     JobStore,
 )
 from repro.service.worker import ServiceWorker
+
+
+#: Dispatcher poll cadence, and the workers' idle poll.
+POLL_INTERVAL_SECONDS = 0.05
+#: Cadence of :meth:`JobStore.recover` passes while the queue drains.
+RECOVER_INTERVAL_SECONDS = 0.5
+#: Drain-and-stop: how long a worker gets after SIGTERM to finish its
+#: current job before it is SIGKILLed.
+_STOP_GRACE_SECONDS = 5.0
 
 
 @dataclass
@@ -56,8 +66,6 @@ class DispatcherConfig:
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     heartbeat_timeout_seconds: float = 30.0
-    poll_interval_seconds: float = 0.05
-    recover_interval_seconds: float = 0.5
     drain: bool = True
 
     def __post_init__(self) -> None:
@@ -72,12 +80,10 @@ class _Slot:
     """One supervised worker slot."""
 
     index: int
-    pid: Optional[int] = None
-    heartbeat_path: str = ""
+    child: Optional[WatchedChild] = None
     deaths: int = 0
     retired: bool = False
     restart_at: float = 0.0
-    spawned_at: float = 0.0
 
 
 @dataclass
@@ -115,53 +121,40 @@ class Dispatcher:
     # ------------------------------------------------------------------
 
     def _spawn(self, slot: _Slot) -> None:
-        slot.heartbeat_path = os.path.join(
-            self._scratch, f"slot{slot.index}.hb"
+        slot.child = WatchedChild(
+            lambda: self._work(slot.index),
+            os.path.join(self._scratch, f"slot{slot.index}.hb"),
         )
-        try:
-            os.unlink(slot.heartbeat_path)
-        except OSError:
-            pass
-        pid = os.fork()
-        if pid == 0:
-            # Child: run the worker loop and never return.
-            code = 1
-            try:
-                faults.check_at("service.slot", slot.index + 1)
-                # install (not a bare Heartbeat) hooks the beat into the
-                # cooperative budget-check sites, so the worker proves
-                # liveness *during* a long solve — not just between jobs
-                # — and a slow-but-healthy job outlives the watchdog.
-                worker = ServiceWorker(
-                    self.store,
-                    self.cache,
-                    worker_id=f"w{slot.index}-{os.getpid()}",
-                    lease_seconds=self.config.lease_seconds,
-                    heartbeat=heartbeat.install(
-                        slot.heartbeat_path, min_interval_seconds=0.01
-                    ),
-                    drain_when_empty=self.config.drain,
-                )
-                signal.signal(
-                    signal.SIGTERM, lambda *_: _stop_worker(worker)
-                )
-                worker.drain(
-                    poll_seconds=self.config.poll_interval_seconds
-                )
-                code = 0
-            except BaseException:  # reprolint: disable=RL005 -- forked child: the nonzero exit code IS the report; the parent records worker-crashed
-                code = 1
-            finally:
-                os._exit(code)
-        slot.pid = pid
-        slot.spawned_at = time.monotonic()
         self.stats.worker_starts += 1
         self.report.record_pool_event(
-            "worker-started", worker=slot.index, detail=f"pid {pid}"
+            "worker-started",
+            worker=slot.index,
+            detail=f"pid {slot.child.pid}",
         )
 
-    def _on_death(self, slot: _Slot, status: int) -> None:
-        if not os.WIFSIGNALED(status) and os.WEXITSTATUS(status) == 0:
+    def _work(self, index: int) -> int:
+        """A worker slot's child: run the worker loop until the queue
+        drains or SIGTERM asks it to stop."""
+        faults.check_at("service.slot", index + 1)
+        # The watched child's heartbeat is hooked into the cooperative
+        # budget-check sites, so the worker proves liveness *during* a
+        # long solve — not just between jobs — and a slow-but-healthy
+        # job outlives the watchdog.
+        worker = ServiceWorker(
+            self.store,
+            self.cache,
+            worker_id=f"w{index}-{os.getpid()}",
+            lease_seconds=self.config.lease_seconds,
+            heartbeat=heartbeat.installed(),
+            drain_when_empty=self.config.drain,
+        )
+        signal.signal(signal.SIGTERM, lambda *_: _stop_worker(worker))
+        worker.drain(poll_seconds=POLL_INTERVAL_SECONDS)
+        return 0
+
+    def _on_death(self, slot: _Slot, ended: ChildExit) -> None:
+        slot.child = None
+        if ended.reason == "ok":
             # A clean exit — the worker drained the queue or honored a
             # stop request.  Not a crash, so it never feeds the
             # crash-loop breaker; but only in drain mode (or during
@@ -169,7 +162,6 @@ class Dispatcher:
             # queue emptying is routine, and a retired slot would
             # silently demote --workers N to inline single-process
             # draining for the rest of the service's life.
-            slot.pid = None
             if self.config.drain or self.stopping:
                 slot.retired = True
                 self.report.record_pool_event(
@@ -184,14 +176,9 @@ class Dispatcher:
                 )
             return
         self.stats.worker_deaths += 1
-        if os.WIFSIGNALED(status):
-            reason = f"signal {os.WTERMSIG(status)}"
-        else:
-            reason = f"exit {os.WEXITSTATUS(status)}"
         self.report.record_pool_event(
-            "worker-crashed", worker=slot.index, detail=reason
+            "worker-crashed", worker=slot.index, detail=ended.detail
         )
-        slot.pid = None
         slot.deaths += 1
         if slot.deaths > self.config.policy.max_restarts:
             slot.retired = True
@@ -209,51 +196,33 @@ class Dispatcher:
         for slot in self._slots:
             if slot.retired:
                 continue
-            if slot.pid is None:
+            if slot.child is None:
                 if time.monotonic() >= slot.restart_at:
                     self._spawn(slot)
                     self.report.record_pool_event(
                         "worker-restarted", worker=slot.index
                     )
                 continue
-            # Reap if dead.
-            try:
-                pid, status = os.waitpid(slot.pid, os.WNOHANG)
-            except ChildProcessError:
-                pid, status = slot.pid, 0
-            if pid:
-                self._on_death(slot, status)
-                continue
-            # Hung?  Stale heartbeat -> SIGKILL; the reap happens on the
-            # next tick.  A worker with *no* beat yet gets the same
-            # deadline measured from its spawn — wedging during startup
-            # (import, fault hook, first claim) must not hold the slot
-            # forever just because the heartbeat file never appeared.
-            monitor = HeartbeatMonitor(slot.heartbeat_path)
-            age = monitor.age_seconds()
-            timeout = self.config.heartbeat_timeout_seconds
-            if age is not None and age > timeout:
-                detail = f"hung: heartbeat {age:.1f}s stale; killed"
-            elif (
-                age is None
-                and time.monotonic() - slot.spawned_at > timeout
-            ):
-                detail = (
-                    f"hung: no heartbeat within {timeout:.1f}s "
-                    "of spawn; killed"
-                )
-            else:
-                continue
-            self.report.record_pool_event(
-                "worker-crashed", worker=slot.index, detail=detail
-            )
-            try:
-                os.kill(slot.pid, signal.SIGKILL)
-            except OSError:
-                pass
+            ended = slot.child.poll(self.config.heartbeat_timeout_seconds)
+            if ended is not None:
+                self._on_death(slot, ended)
 
-    def _live_workers(self) -> int:
-        return sum(1 for s in self._slots if s.pid is not None)
+    def _recover(self, last: float) -> float:
+        """Run :meth:`JobStore.recover` if ``RECOVER_INTERVAL_SECONDS``
+        have passed since ``last``; returns the time of the latest pass.
+        Leases that died with their workers are requeued this way, or
+        dead-lettered once their attempts are exhausted."""
+        now = time.monotonic()
+        if now - last < RECOVER_INTERVAL_SECONDS:
+            return last
+        stats = self.store.recover(
+            policy=self.config.policy,
+            max_attempts=self.config.max_attempts,
+            report=self.report,
+        )
+        self.stats.recover_requeued += len(stats.requeued)
+        self.stats.recover_buried += len(stats.buried)
+        return now
 
     # ------------------------------------------------------------------
     # the run loop
@@ -273,16 +242,7 @@ class Dispatcher:
         try:
             while True:
                 self._watch_slots()
-                now = time.monotonic()
-                if now - last_recover >= self.config.recover_interval_seconds:
-                    stats = self.store.recover(
-                        policy=self.config.policy,
-                        max_attempts=self.config.max_attempts,
-                        report=self.report,
-                    )
-                    self.stats.recover_requeued += len(stats.requeued)
-                    self.stats.recover_buried += len(stats.buried)
-                    last_recover = now
+                last_recover = self._recover(last_recover)
                 if self.stopping:
                     break
                 active = self.store.active_count()
@@ -303,9 +263,12 @@ class Dispatcher:
                     self._drain_inline()
                     if self.config.drain:
                         break
-                time.sleep(self.config.poll_interval_seconds)
+                time.sleep(POLL_INTERVAL_SECONDS)
         finally:
-            self._shutdown_workers()
+            # Drain-and-stop: SIGTERM lets each worker finish its job.
+            for slot in self._slots:
+                if slot.child is not None:
+                    slot.child.stop(_STOP_GRACE_SECONDS)
         return self.stats
 
     def _drain_inline(self) -> None:
@@ -322,18 +285,9 @@ class Dispatcher:
         )
         last_recover = 0.0
         while not self.stopping and self.store.active_count() > 0:
-            now = time.monotonic()
-            if now - last_recover >= self.config.recover_interval_seconds:
-                stats = self.store.recover(
-                    policy=self.config.policy,
-                    max_attempts=self.config.max_attempts,
-                    report=self.report,
-                )
-                self.stats.recover_requeued += len(stats.requeued)
-                self.stats.recover_buried += len(stats.buried)
-                last_recover = now
+            last_recover = self._recover(last_recover)
             if not worker.run_once():
-                time.sleep(self.config.poll_interval_seconds)
+                time.sleep(POLL_INTERVAL_SECONDS)
 
     def _install_signals(self) -> None:
         def _request_stop(_signum: int, _frame: object) -> None:
@@ -344,34 +298,6 @@ class Dispatcher:
             signal.signal(signal.SIGINT, _request_stop)
         except ValueError:  # not the main thread (tests)
             pass
-
-    def _shutdown_workers(self) -> None:
-        """Drain-and-stop: ask nicely, then insist, then reap."""
-        for slot in self._slots:
-            if slot.pid is not None:
-                try:
-                    os.kill(slot.pid, signal.SIGTERM)
-                except OSError:
-                    pass
-        deadline = time.monotonic() + 5.0
-        for slot in self._slots:
-            if slot.pid is None:
-                continue
-            while time.monotonic() < deadline:
-                try:
-                    pid, _status = os.waitpid(slot.pid, os.WNOHANG)
-                except ChildProcessError:
-                    break
-                if pid:
-                    break
-                time.sleep(0.02)
-            else:
-                try:
-                    os.kill(slot.pid, signal.SIGKILL)
-                    os.waitpid(slot.pid, 0)
-                except (OSError, ChildProcessError):
-                    pass
-            slot.pid = None
 
 
 def _stop_worker(worker: ServiceWorker) -> None:

@@ -92,6 +92,21 @@ class TestRoundTrip:
         assert restored.notes == []
         assert restored.budget is None
 
+    def test_pool_events_round_trip_and_legacy_task_key_loads(self):
+        report = RunReport()
+        report.record_pool_event("worker-crashed", worker=1, detail="exit 1")
+        data = json.loads(report.to_json())
+        assert RunReport.from_dict(data).to_dict() == report.to_dict()
+        # A report serialized while pool events still had a ``task``
+        # field loads; the field is dropped.
+        data["pool_events"][0]["task"] = "t3"
+        [event] = RunReport.from_dict(data).pool_events
+        assert (event.kind, event.worker, event.detail) == (
+            "worker-crashed",
+            1,
+            "exit 1",
+        )
+
     def test_budget_none_fields_preserved(self):
         report = make_report_with_numpy_scalars()
         restored = RunReport.from_json(report.to_json())

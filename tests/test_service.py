@@ -20,6 +20,7 @@ from repro.robust import budgets, faults
 from repro.robust import heartbeat as heartbeat_mod
 from repro.robust.report import RunReport
 from repro.robust.retry import RetryPolicy
+from repro.robust.supervisor import ChildExit, WatchedChild
 from repro.service.dispatcher import _Slot
 from repro.service import (
     Dispatcher,
@@ -531,13 +532,14 @@ class TestDispatcher:
         self, service
     ):
         store, cache = service
+        clean = ChildExit("ok", 0, None, None, "exit 0")
         serve = Dispatcher(store, cache, self._config(drain=False))
-        slot = _Slot(index=0, pid=12345)
-        serve._on_death(slot, 0)  # waitpid status 0 = clean exit
-        assert slot.pid is None and not slot.retired
+        slot = _Slot(index=0)
+        serve._on_death(slot, clean)
+        assert slot.child is None and not slot.retired
         drain = Dispatcher(store, cache, self._config(drain=True))
-        slot = _Slot(index=0, pid=12345)
-        drain._on_death(slot, 0)
+        slot = _Slot(index=0)
+        drain._on_death(slot, clean)
         assert slot.retired
 
     def test_serve_mode_keeps_worker_slots_after_idle(
@@ -574,30 +576,53 @@ class TestDispatcher:
         assert all(v.state == DONE for v in store.views())
         assert not dispatcher.report.pool_events_of_kind("pool-degraded")
 
-    def test_worker_hung_before_first_heartbeat_is_killed(self, service):
+    def test_worker_hung_before_first_heartbeat_is_killed(self, tmp_path):
+        # A worker wedged during startup never lands a beat: the
+        # heartbeat's directory does not exist.
+        timeout = 0.05
+        child = WatchedChild(
+            lambda: time.sleep(30) or 0, str(tmp_path / "missing" / "hb")
+        )
+        deadline = time.monotonic() + 20 * timeout
+        ended = child.poll(timeout)
+        while ended is None and time.monotonic() < deadline:
+            time.sleep(timeout / 5)
+            ended = child.poll(timeout)
+        assert ended is not None, "the watchdog did not kill the child"
+        assert ended.reason == "hung"
+        assert ended.signal == signal.SIGKILL
+        assert "no heartbeat" in ended.detail
+        with pytest.raises(ChildProcessError):
+            os.waitpid(child.pid, os.WNOHANG)  # already reaped
+
+    def test_hung_worker_is_one_crash_per_death(
+        self, service, redundant_spec, other_spec
+    ):
+        """Each watchdog kill is one ``worker-crashed`` event carrying
+        the hung detail, not a second event for the reaped signal."""
         store, cache = service
-        dispatcher = Dispatcher(
-            store, cache, self._config(heartbeat_timeout_seconds=0.05)
-        )
-        os.makedirs(dispatcher._scratch, exist_ok=True)
-        pid = os.fork()
-        if pid == 0:
-            # A worker wedged during startup: never writes a heartbeat.
-            time.sleep(30)
-            os._exit(0)
-        slot = _Slot(
-            index=0,
-            pid=pid,
-            heartbeat_path=os.path.join(dispatcher._scratch, "slot0.hb"),
-            spawned_at=time.monotonic() - 1.0,
-        )
-        dispatcher._slots = [slot]
-        dispatcher._watch_slots()
-        _reaped, status = os.waitpid(pid, 0)
-        assert os.WIFSIGNALED(status)
-        assert os.WTERMSIG(status) == signal.SIGKILL
+        for spec in (redundant_spec, other_spec):
+            store.submit(spec, cache=cache)
+        faults.reload_env("service.slot:*@hang:60")
+        try:
+            dispatcher = Dispatcher(
+                store,
+                cache,
+                self._config(
+                    heartbeat_timeout_seconds=0.3,
+                    policy=RetryPolicy(
+                        max_restarts=1, backoff_initial_seconds=0.0
+                    ),
+                ),
+            )
+            stats = dispatcher.run()
+        finally:
+            faults.reload_env("")
+        assert all(v.state == DONE for v in store.views())
         crashed = dispatcher.report.pool_events_of_kind("worker-crashed")
-        assert crashed and "no heartbeat" in crashed[0].detail
+        assert stats.worker_deaths == 4
+        assert len(crashed) == stats.worker_deaths
+        assert all(e.detail.startswith("hung:") for e in crashed)
 
 
 # ----------------------------------------------------------------------

