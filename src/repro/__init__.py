@@ -28,7 +28,6 @@ from repro.errors import (
     LumpingError,
     MatrixDiagramError,
     ModelError,
-    NotLumpableError,
     ReproError,
     SolverError,
     StateSpaceError,
@@ -81,7 +80,6 @@ __all__ = [
     "StateSpaceError",
     "MatrixDiagramError",
     "LumpingError",
-    "NotLumpableError",
     "SolverError",
     "CompositionError",
     "Partition",

@@ -33,10 +33,6 @@ class LumpingError(ReproError):
     """
 
 
-class NotLumpableError(LumpingError):
-    """A partition claimed to be lumpable fails the lumpability conditions."""
-
-
 class SolverError(ReproError):
     """A numerical solver failed to converge or was misconfigured.
 

@@ -9,7 +9,7 @@ equalities.  ``comp_lumping_level`` therefore iterates the single-matrix
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable
 
 from repro.errors import LumpingError
 from repro.lumping.keys import (
@@ -63,10 +63,10 @@ def comp_lumping_level(
     kind: str = "ordinary",
     key: str = "formal",
     strategy: str = "paper",
-    max_rounds: Optional[int] = None,
 ) -> Partition:
     """Fixed-point iteration of ``CompLumping`` over all nodes of a level
-    (Figure 3a).
+    (Figure 3a).  Each round either refines the partition or returns it,
+    so the loop ends within ``|S_level|`` rounds.
 
     Parameters
     ----------
@@ -84,9 +84,6 @@ def comp_lumping_level(
         expensive variant, kept for the ablation benchmark).
     strategy:
         Worklist strategy passed through to ``comp_lumping``.
-    max_rounds:
-        Optional safety bound on fixed-point rounds (each round refines or
-        terminates, so at most ``|S_level|`` rounds are ever needed).
     """
     if kind not in ("ordinary", "exact"):
         raise LumpingError(f"kind must be 'ordinary' or 'exact', not {kind!r}")
@@ -106,17 +103,11 @@ def comp_lumping_level(
         for _index, node in sorted(md.nodes_at(level).items())
     ]
     partition = initial.copy()
-    rounds = 0
     while True:
         blocks_before = len(partition)
         for splitter in splitters:
             partition = comp_lumping(
                 size, splitter, partition, strategy=strategy
             )
-        rounds += 1
         if len(partition) == blocks_before:
             return partition
-        if max_rounds is not None and rounds >= max_rounds:
-            raise LumpingError(
-                f"comp_lumping_level exceeded {max_rounds} rounds"
-            )

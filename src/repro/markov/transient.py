@@ -86,10 +86,11 @@ def transient_distribution(
     weights = _poisson_weights(lam * time, tol)
     result = np.zeros_like(pi0)
     term = pi0.copy()
-    for weight in weights:
+    for k, weight in enumerate(weights):
+        if k:
+            term = term @ p
         if weight > 0:
             result += weight * term
-        term = term @ p
     # Renormalize the truncation remainder.
     total = result.sum()
     if total <= 0:

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import MatrixDiagramError, SolverError
+from repro.markov.transient import _poisson_weights
 from repro.matrixdiagram.md import MatrixDiagram
 
 
@@ -240,27 +241,13 @@ class MDOperator:
             return pi
         row_sums = self.row_sums()
         lam = 1.01 * float(row_sums.max()) if row_sums.max() > 0 else 1.0
-        mean = lam * time
         result = np.zeros_like(pi)
         term = pi
-        weight = np.exp(-mean)
-        if weight == 0.0:
-            raise SolverError(
-                "uniformization mean too large for direct summation; "
-                "split the horizon into shorter steps"
-            )
-        total_weight = weight
-        k = 0
-        while total_weight < 1.0 - tol:
+        for k, weight in enumerate(_poisson_weights(lam * time, tol)):
+            if k:
+                term = term + (self.left(term) - term * row_sums) / lam
             if weight > 0:
                 result += weight * term
-            term = term + (self.left(term) - term * row_sums) / lam
-            k += 1
-            weight *= mean / k
-            total_weight += weight
-            if k > 10_000_000:
-                raise SolverError("poisson truncation failed to converge")
-        result += weight * term
         total = result.sum()
         if total <= 0:
             raise SolverError("transient solution lost all probability mass")

@@ -6,7 +6,7 @@ degradation first-class across the pipeline:
 * :mod:`repro.robust.budgets` — composable wall-clock / iteration /
   state-count budgets, checked cooperatively inside reachability,
   refinement, and solver loops;
-* :mod:`repro.robust.faults` — a deterministic, seedable fault injector
+* :mod:`repro.robust.faults` — a deterministic fault injector
   (context manager or ``REPRO_FAULTS`` env var) so every degradation
   path is testable in CI;
 * :mod:`repro.robust.fallback` — solver and reachability-engine fallback

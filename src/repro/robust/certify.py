@@ -89,6 +89,10 @@ DEFAULT_SPOT_CHECK_LIMIT = 128
 #: Name of the independent residual-recheck engine (provenance).
 RESIDUAL_ENGINE = "longdouble-coo"
 
+#: Solver tolerance of the escalation ladder's re-solves (the tightened
+#: rung uses a thousandth of it) and of its extended-precision refinement.
+ESCALATION_SOLVER_TOL = 1e-12
+
 
 @dataclass
 class CertificateCheck:
@@ -612,7 +616,6 @@ def certify_with_escalation(
     original: Optional["MDModel"] = None,
     chain: Sequence[str] = (),
     report: Optional["RunReport"] = None,
-    solver_tol: float = 1e-12,
     spot_check_limit: int = DEFAULT_SPOT_CHECK_LIMIT,
 ) -> CertifiedSolve:
     """Certify ``pi``; on failure climb the escalation ladder.
@@ -620,8 +623,8 @@ def certify_with_escalation(
     The ladder, in order (each rung re-certified before acceptance):
 
     1. every untried method of ``chain`` (the existing fallback chain),
-    2. a tightened-tolerance re-solve (``solver_tol / 1e3``) with the
-       first iterative method of the chain,
+    2. a tightened-tolerance re-solve (``ESCALATION_SOLVER_TOL / 1e3``)
+       with the first iterative method of the chain,
     3. an extended-precision ("float128") Jacobi refinement of the best
        iterate via :func:`repro.util.numeric.extended_jacobi_refine`.
 
@@ -690,7 +693,7 @@ def certify_with_escalation(
         tried.add(alternative)
         _escalate(alternative)
         vector, error = _resolve_candidate(
-            lumped_ctmc, alternative, solver_tol
+            lumped_ctmc, alternative, ESCALATION_SOLVER_TOL
         )
         if vector is None:
             last_reason = f"{alternative} re-solve failed: {error}"
@@ -710,7 +713,7 @@ def certify_with_escalation(
     iterative = next(
         (m for m in chain if m in ITERATIVE_METHODS), "gauss-seidel"
     )
-    tight_tol = max(solver_tol / 1e3, 1e-15)
+    tight_tol = max(ESCALATION_SOLVER_TOL / 1e3, 1e-15)
     tight_label = f"{iterative}@tol={tight_tol:g}"
     _escalate(tight_label)
     vector, error = _resolve_candidate(lumped_ctmc, iterative, tight_tol)
@@ -733,7 +736,8 @@ def certify_with_escalation(
     rows, cols, data, diag = _generator_coo(lumped_ctmc)
     try:
         refined = extended_jacobi_refine(
-            first, rows, cols, data, diag, sweeps=2000, tol=solver_tol
+            first, rows, cols, data, diag,
+            sweeps=2000, tol=ESCALATION_SOLVER_TOL,
         )
     except SolverError as exc:
         last_reason = f"float128 refinement failed: {exc}"

@@ -63,7 +63,6 @@ import hashlib
 import json
 import os
 import re
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import TracebackType
@@ -187,11 +186,6 @@ def atomic_create_bytes(path: str, data: bytes) -> bool:
     return True
 
 
-def atomic_create_json(path: str, obj: Any) -> bool:
-    """JSON variant of :func:`atomic_create_bytes`."""
-    return atomic_create_bytes(path, json.dumps(obj).encode("utf-8"))
-
-
 def digest(*chunks: bytes) -> str:
     """sha256 hex digest over the concatenation of ``chunks`` (used for
     snapshot guards: content fingerprints of matrices, seed sets, ...)."""
@@ -263,11 +257,8 @@ class Checkpointer:
         entirety.
     interval_iterations:
         Periodic-save stride: a loop's :meth:`tick` returns true every
-        this many calls.  (Final and budget-exhaustion snapshots are
-        written unconditionally.)
-    min_save_interval_seconds:
-        Additional floor between periodic saves of the same key (0
-        disables the floor, keeping saves fully deterministic).
+        this many calls, so saves are fully deterministic.  (Final and
+        budget-exhaustion snapshots are written unconditionally.)
     keep_last:
         Per-sequence garbage collection: after each save of a key of the
         form ``scope/stage#N``, snapshots of the same scoped stage with
@@ -290,7 +281,6 @@ class Checkpointer:
         resume: bool = False,
         fingerprint: Optional[str] = None,
         interval_iterations: int = 256,
-        min_save_interval_seconds: float = 0.0,
         keep_last: Optional[int] = None,
         report: Optional[Any] = None,
     ) -> None:
@@ -306,7 +296,6 @@ class Checkpointer:
         self.resume = resume
         self.fingerprint = fingerprint
         self.interval_iterations = interval_iterations
-        self.min_save_interval_seconds = min_save_interval_seconds
         self.keep_last = keep_last
         self.pruned_count = 0
         self.events: List[CheckpointEvent] = []
@@ -314,7 +303,6 @@ class Checkpointer:
         self._scope: List[str] = []
         self._seq: Dict[str, int] = {}
         self._ticks: Dict[str, int] = {}
-        self._last_save: Dict[str, float] = {}
         try:
             os.makedirs(directory, exist_ok=True)
         except OSError as exc:
@@ -565,20 +553,10 @@ class Checkpointer:
 
     def tick(self, key: str) -> bool:
         """Count one loop pass under ``key``; true when a periodic save
-        is due (every ``interval_iterations`` passes, subject to the
-        minimum seconds-between-saves floor)."""
+        is due (every ``interval_iterations`` passes)."""
         count = self._ticks.get(key, 0) + 1
         self._ticks[key] = count
-        if count % self.interval_iterations:
-            return False
-        if self.min_save_interval_seconds > 0:
-            last = self._last_save.get(key)
-            if (
-                last is not None
-                and time.monotonic() - last < self.min_save_interval_seconds
-            ):
-                return False
-        return True
+        return count % self.interval_iterations == 0
 
     def save(
         self,
@@ -614,7 +592,6 @@ class Checkpointer:
             ).hexdigest()
             atomic_write_json(self.manifest_path, self._manifest)
             self._prune_locked(key)
-        self._last_save[key] = time.monotonic()
         self._event("complete" if complete else "saved", key)
 
     def _prune_locked(self, key: str) -> None:

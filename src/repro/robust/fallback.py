@@ -103,9 +103,12 @@ def solve_with_fallback(
     tol: float = 1e-12,
     relaxation_factor: float = 1e3,
     per_method: Optional[Dict[str, dict]] = None,
-    reuse_partial: bool = True,
 ) -> FallbackSolution:
     """Try each solver in ``chain`` until one converges.
+
+    Each iterative rung warm-starts from the previous failure's
+    ``last_iterate`` (carried on :class:`~repro.errors.SolverError`)
+    instead of restarting from the uniform vector.
 
     Parameters
     ----------
@@ -124,10 +127,6 @@ def solve_with_fallback(
     per_method:
         Optional per-method keyword overrides, e.g.
         ``{"power": {"max_iterations": 500}}``.
-    reuse_partial:
-        Warm-start each iterative rung from the previous failure's
-        ``last_iterate`` (carried on :class:`~repro.errors.SolverError`)
-        instead of restarting from the uniform vector.
 
     Returns
     -------
@@ -160,7 +159,7 @@ def solve_with_fallback(
             warm = None
             if method in _ITERATIVE:
                 kwargs.setdefault("tol", round_tol)
-                if reuse_partial and warm_start is not None:
+                if warm_start is not None:
                     warm = warm_start
                     kwargs.setdefault("x0", warm)
             start = time.perf_counter()
@@ -181,7 +180,7 @@ def solve_with_fallback(
                         warm_started=warm is not None,
                     )
                 )
-                if reuse_partial and exc.last_iterate is not None:
+                if exc.last_iterate is not None:
                     warm_start = exc.last_iterate
                 continue
             attempts.append(

@@ -1,4 +1,4 @@
-"""Deterministic, seedable fault injection for the analysis pipeline.
+"""Deterministic fault injection for the analysis pipeline.
 
 Every degradation path in the pipeline must be testable without waiting
 for a genuinely singular matrix or a genuinely exploding state space.
@@ -43,9 +43,8 @@ type a *real* failure at that site would raise, so the production
 fallback/degradation code paths handle them identically — which is the
 point: CI exercises the same ``except`` clauses users will hit.
 
-Rules are matched by call count (1-based, per site, deterministic) or by
-a seeded Bernoulli draw, so runs are reproducible.  Activation is either
-lexical::
+Rules are matched by call count (1-based, per site), so runs are
+reproducible.  Activation is either lexical::
 
     with inject_faults("solver.direct"):
         ...  # every direct solve in this block fails
@@ -92,7 +91,6 @@ what the crash-loop circuit breaker is for.
 from __future__ import annotations
 
 import os
-import random
 import signal
 import time
 from dataclasses import dataclass
@@ -144,11 +142,9 @@ def _exception_for(site: str) -> type:
 class FaultRule:
     """When — and how — a given site should fail.
 
-    Exactly one trigger applies: ``fail_on`` (explicit 1-based call
-    numbers), ``first`` (the first N calls), ``after`` (the N-th call and
-    every later one — a process that "stays dead" until resumed),
-    ``probability`` (a seeded Bernoulli draw per call), or none of them —
-    meaning *every* call.
+    The trigger is ``fail_on`` (explicit 1-based call numbers),
+    ``after`` (the N-th call and every later one — a process that "stays
+    dead" until resumed), or neither — meaning *every* call.
 
     ``effect`` is ``"raise"`` (the site's injected exception),
     ``"sigkill"``, ``"hang"`` (stall ``hang_seconds``), or ``"oom"``.
@@ -156,9 +152,7 @@ class FaultRule:
 
     site: str
     fail_on: Optional[frozenset] = None
-    first: Optional[int] = None
     after: Optional[int] = None
-    probability: Optional[float] = None
     effect: str = "raise"
     hang_seconds: Optional[float] = None
 
@@ -191,28 +185,20 @@ class FaultRule:
         parts = [self.site]
         if self.fail_on is not None:
             parts.append("on=" + "|".join(str(n) for n in sorted(self.fail_on)))
-        if self.first is not None:
-            parts.append(f"first={self.first}")
         if self.after is not None:
             parts.append(f"after={self.after}")
-        if self.probability is not None:
-            parts.append(f"p={self.probability:g}")
         if self.effect != "raise":
             parts.append(f"effect={self.effect}")
         if self.hang_seconds is not None:
             parts.append(f"hang={self.hang_seconds:g}")
         return ";".join(parts)
 
-    def should_fail(self, call_number: int, rng: random.Random) -> bool:
+    def should_fail(self, call_number: int) -> bool:
         """Whether this rule fires for the ``call_number``-th call."""
         if self.fail_on is not None:
             return call_number in self.fail_on
-        if self.first is not None:
-            return call_number <= self.first
         if self.after is not None:
             return call_number >= self.after
-        if self.probability is not None:
-            return rng.random() < self.probability
         return True
 
 
@@ -225,14 +211,13 @@ class FaultInjector:
     and reports can assert exactly which paths were exercised.
     """
 
-    def __init__(self, rules: Iterable[FaultRule], seed: int = 0) -> None:
+    def __init__(self, rules: Iterable[FaultRule]) -> None:
         self.rules: List[FaultRule] = list(rules)
-        self._rng = random.Random(seed)
         self._counts: Dict[str, int] = {}
         self.fired: List[Tuple[str, int]] = []
 
     @classmethod
-    def from_spec(cls, spec: str, seed: int = 0) -> "FaultInjector":
+    def from_spec(cls, spec: str) -> "FaultInjector":
         """Build an injector from the ``REPRO_FAULTS`` grammar."""
         rules = []
         for part in spec.split(","):
@@ -252,7 +237,7 @@ class FaultInjector:
                     f"invalid fault rule {part!r} in spec {spec!r}: {exc}"
                     f" (grammar: {GRAMMAR})"
                 ) from None
-        return cls(rules, seed=seed)
+        return cls(rules)
 
     @classmethod
     def from_env(
@@ -283,7 +268,7 @@ class FaultInjector:
         call_number = self._counts.get(site, 0) + 1
         self._counts[site] = call_number
         for rule in matching:
-            if not rule.should_fail(call_number, self._rng):
+            if not rule.should_fail(call_number):
                 continue
             if (
                 rule.one_shot
@@ -314,7 +299,7 @@ class FaultInjector:
         """
         matching = [rule for rule in self.rules if rule.site == site]
         for rule in matching:
-            if not rule.should_fail(index, self._rng):
+            if not rule.should_fail(index):
                 continue
             if (
                 rule.one_shot
@@ -553,11 +538,6 @@ def reload_env(value: Optional[str] = None) -> Optional[FaultInjector]:
     return _ENV_INJECTOR
 
 
-def env_injector() -> Optional[FaultInjector]:
-    """The ambient ``REPRO_FAULTS`` injector, if any."""
-    return _ENV_INJECTOR
-
-
 def check(site: str) -> None:
     """Library hook: raise an injected fault if any active rule matches.
 
@@ -589,14 +569,12 @@ def check_at(site: str, index: int) -> None:
         _ENV_INJECTOR.check_at(site, index)
 
 
-def inject_faults(
-    spec: Union[str, Iterable[FaultRule]], seed: int = 0
-) -> FaultInjector:
+def inject_faults(spec: Union[str, Iterable[FaultRule]]) -> FaultInjector:
     """Convenience constructor: ``with inject_faults("solver.direct"): ...``
 
     ``spec`` is either a spec string (see module docstring) or an
     iterable of :class:`FaultRule`.
     """
     if isinstance(spec, str):
-        return FaultInjector.from_spec(spec, seed=seed)
-    return FaultInjector(spec, seed=seed)
+        return FaultInjector.from_spec(spec)
+    return FaultInjector(spec)

@@ -15,7 +15,6 @@ from repro.service.dispatcher import (
     Dispatcher,
     DispatcherConfig,
     DispatcherStats,
-    run_service,
 )
 from repro.service.spec import (
     SpecError,
@@ -54,7 +53,6 @@ __all__ = [
     "canonical_digest",
     "demo_spec",
     "model_from_spec",
-    "run_service",
     "solve_spec",
     "solve_spec_certified",
     "spec_from_model",

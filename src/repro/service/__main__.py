@@ -32,11 +32,7 @@ from repro.robust.checkpoint import atomic_write_text
 from repro.robust.retry import RetryPolicy
 from repro.service.cache import ResultCache
 from repro.service.dispatcher import Dispatcher, DispatcherConfig
-from repro.service.spec import (
-    SpecError,
-    demo_spec,
-    spec_summary,
-)
+from repro.service.spec import SpecError, spec_from_args, spec_summary
 from repro.service.store import DEAD, DONE, STATES, JobStore, StoreError
 
 EXIT_SHED = 5
@@ -51,27 +47,7 @@ def _open(store_root: str) -> Tuple[JobStore, ResultCache]:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     store, cache = _open(args.store)
-    if args.demo:
-        spec = demo_spec(args.demo)
-    else:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
-        if "md" not in spec:
-            raise SpecError(
-                f"{args.spec}: not a job spec (no 'md' field); build one "
-                "with repro.service.spec_from_model"
-            )
-    solve = spec.setdefault("solve", {})
-    if args.kind:
-        solve["kind"] = args.kind
-    if args.method:
-        solve["method"] = args.method
-    if args.key:
-        solve["key"] = args.key
-    if args.iterate:
-        solve["iterate"] = True
-    if args.no_certify:
-        solve["certify"] = False
+    spec = spec_from_args(args)
     outcome = store.submit(
         spec, queue_limit=args.queue_limit, cache=cache
     )

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 import signal
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -303,19 +302,3 @@ class Dispatcher:
 def _stop_worker(worker: ServiceWorker) -> None:
     """SIGTERM handler body: finish the current job, then stop."""
     worker.stopping = True
-
-
-def run_service(
-    store_root: str,
-    config: Optional[DispatcherConfig] = None,
-    report: Optional[RunReport] = None,
-) -> DispatcherStats:
-    """Convenience entry point: open the store + cache under
-    ``store_root`` and run one dispatcher to completion."""
-    store = JobStore(store_root)
-    cache = ResultCache(os.path.join(store_root, "cache"))
-    dispatcher = Dispatcher(store, cache, config=config, report=report)
-    stats = dispatcher.run()
-    if report is None and dispatcher.report.notes:
-        print(dispatcher.report.render(), file=sys.stderr)
-    return stats

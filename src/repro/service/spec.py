@@ -16,6 +16,7 @@ duplicate coalescing.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
@@ -249,6 +250,32 @@ def demo_spec(name: str) -> dict:
         f"unknown demo model {kind!r} (expected redundant:U,S or "
         "tandem:J,C,S,Q)"
     )
+
+
+def spec_from_args(args: argparse.Namespace) -> dict:
+    """The job spec a command line names with ``--demo`` or ``--spec``,
+    with its solve overrides (``--kind``, ``--method``, ``--key``,
+    ``--iterate``, ``--no-certify``) applied; a command without some of
+    those flags leaves them as the spec has them."""
+    if args.demo:
+        spec = demo_spec(args.demo)
+    else:
+        with open(args.spec, "r", encoding="utf-8") as handle:
+            spec = json.load(handle)
+        if "md" not in spec:
+            raise SpecError(
+                f"{args.spec}: not a job spec (no 'md' field); build one "
+                "with repro.service.spec_from_model"
+            )
+    solve = spec.setdefault("solve", {})
+    for name in ("kind", "method", "key"):
+        if getattr(args, name, None):
+            solve[name] = getattr(args, name)
+    if getattr(args, "iterate", False):
+        solve["iterate"] = True
+    if getattr(args, "no_certify", False):
+        solve["certify"] = False
+    return spec
 
 
 def spec_summary(spec: dict) -> str:

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ReproError, SweepError
 from repro.robust.checkpoint import atomic_write_text
 from repro.robust.report import RunReport
-from repro.service.spec import SpecError, demo_spec
+from repro.service.spec import SpecError, spec_from_args
 from repro.sweep.engine import SweepEngine, default_frontier_dir
 from repro.sweep.frontier import POINT_DONE, SweepFrontier
 from repro.sweep.spec import (
@@ -48,33 +48,8 @@ EXIT_SHED = 5
 EXIT_POINTS_FAILED = 7
 
 
-def _load_base(args: argparse.Namespace) -> dict:
-    if args.demo:
-        spec = demo_spec(args.demo)
-    else:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
-        if "md" not in spec:
-            raise SpecError(
-                f"{args.spec}: not a job spec (no 'md' field); build one "
-                "with repro.service.spec_from_model"
-            )
-    solve = spec.setdefault("solve", {})
-    if getattr(args, "kind", None):
-        solve["kind"] = args.kind
-    if getattr(args, "method", None):
-        solve["method"] = args.method
-    if getattr(args, "key", None):
-        solve["key"] = args.key
-    if getattr(args, "iterate", False):
-        solve["iterate"] = True
-    if getattr(args, "no_certify", False):
-        solve["certify"] = False
-    return spec
-
-
 def _build_sweep_spec(args: argparse.Namespace) -> dict:
-    base = _load_base(args)
+    base = spec_from_args(args)
     sites: Dict[str, List[int]] = {}
     site_args = args.site or ["auto"]
     for raw in site_args:
@@ -184,7 +159,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def _cmd_sites(args: argparse.Namespace) -> int:
     from repro.service.spec import model_from_spec
 
-    base = _load_base(args)
+    base = spec_from_args(args)
     md = model_from_spec(base).md
     for level in range(1, md.num_levels + 1):
         nodes = sorted(md.nodes_at(level))

@@ -3,145 +3,61 @@
 Rates enter the refinement keys only as formal-sum coefficients, so
 many rate changes — uniform scalings of a site's entries in particular
 — cannot alter the lumping partition.  Instead of *assuming* that, the
-gate re-checks the lumpability conditions of the base partition
-directly on the derived model, with the same quantized formal-sum
-signature comparison the refinement itself uses
-(:mod:`repro.lumping.keys`):
+gate checks the base partition on the derived model with the lumping
+package's own test of local lumpability (Definition 3):
 
-* the **initial condition** (Section 4, ``P_i_ini``): rewards constant
-  on every class for ordinary lumping; initial factors and full
-  coefficient row sums constant for exact lumping;
+* the **initial condition** (Section 4): every class lies inside one
+  class of ``P_i_ini`` — rewards for ordinary lumping
+  (:func:`~repro.lumping.local.initial_partition_ordinary`), initial
+  factors and every node's full coefficient row sums for exact
+  lumping (:func:`~repro.lumping.local.initial_partition_exact`);
 * the **stability condition** (Figure 3a): for every node of the
-  level, every class ``C``, and every class ``B``, the class-sum
-  ``R_n(s, C)`` (ordinary; transposed for exact) has the same
-  signature for all ``s in B``.
+  level, the formal-sum key :func:`~repro.lumping.keys.md_node_splitter`
+  with any class as the splitter gives every class a single key.
 
-These are exactly the conditions the fixed-point refinement enforces,
-so a partition that passes is a valid — not necessarily coarsest —
-lumping of the derived model, and Theorems 2/3/4 make its results
-exact.  A partition that fails (quantization ties flipping under
-scaling, a site that breaks a symmetry) falls back to full re-lumping,
-recorded in the :class:`~repro.robust.report.RunReport` as a
-``sweep.reuse`` fallback: reuse is an optimization the proof licenses,
-never a correctness assumption.
+That is the fixed point at which ``CompLumpingLevel`` stops, so a
+partition that passes is a valid — not necessarily coarsest — lumping
+of the derived model, and Theorems 2/3/4 make its results exact.  One
+that fails (quantization ties flipping under scaling, a site that
+breaks a symmetry) falls back to full re-lumping, recorded in the
+:class:`~repro.robust.report.RunReport` as a ``sweep.reuse`` fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import (
-    AbstractSet,
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import AbstractSet, Mapping, Optional, Sequence, Tuple
 
 from repro.lumping.compositional import (
     CompositionalLumpingResult,
     apply_partitions,
     compositional_lump,
 )
+from repro.lumping.keys import md_node_splitter
+from repro.lumping.local import (
+    initial_partition_exact,
+    initial_partition_ordinary,
+)
 from repro.lumping.md_model import MDModel
+from repro.lumping.refinement import SplitterFactory
 from repro.partitions import Partition
 from repro.sweep.spec import apply_point
 from repro.robust.report import RunReport
-from repro.util.numeric import quantize
-
-_ZERO_TERMINAL_KEY = quantize(0.0)
 
 
-def _formal_signature(
-    terms: Dict[int, float],
-) -> Tuple[Tuple[int, float], ...]:
-    """The :attr:`FormalSum.signature` of an accumulated coefficient
-    map, computed without constructing the sum (the constructor's
-    re-validation dominated proof time)."""
-    return tuple(
-        sorted(
-            (child, quantize(v)) for child, v in terms.items() if v != 0.0
-        )
-    )
-
-
-def _blocks(partition: Partition) -> List[Tuple[int, ...]]:
-    """The classes of a partition as member tuples, in dense order."""
-    index_map = partition.block_index_map()
-    ordered = sorted(index_map.items(), key=lambda item: item[1])
-    return [tuple(partition.block(block_id)) for block_id, _ in ordered]
-
-
-def _node_class_keys(
-    node: Any,
-    class_of: Dict[int, int],
-    states: Sequence[int],
-    transpose: bool = False,
-) -> Dict[int, Dict[int, Any]]:
-    """Per-state sparse map ``class_id -> quantized class-sum key``.
-
-    One pass over the node's entries replaces the per-(state, class)
-    ``row_sum_over`` calls, which are quadratic in the number of
-    classes.  Classes whose sum is (quantized) zero are dropped so a
-    cancelling class compares equal to a class the state has no
-    entries in — the same verdict ``row_sum_over`` gives on those
-    member sets.  With ``transpose`` the roles of rows and columns
-    swap (exact lumping's column condition).
-    """
-    terminal = node.terminal
-    raw: Dict[int, Dict[int, Any]] = {state: {} for state in states}
-    for row, col, entry in node.entries():
-        state, other = (col, row) if transpose else (row, col)
-        bucket = raw.get(state)
-        if bucket is None:
-            continue
-        cls = class_of[other]
-        if terminal:
-            bucket[cls] = bucket.get(cls, 0.0) + float(entry)
-        else:
-            acc = bucket.get(cls)
-            if acc is None:
-                acc = {}
-                bucket[cls] = acc
-            for child, coefficient in entry.items():
-                acc[child] = acc.get(child, 0.0) + coefficient
-    keys: Dict[int, Dict[int, Any]] = {}
-    for state, bucket in raw.items():
-        state_keys: Dict[int, Any] = {}
-        for cls, total in bucket.items():
-            if terminal:
-                key = quantize(float(total))
-                if key == _ZERO_TERMINAL_KEY:
-                    continue
-            else:
-                key = _formal_signature(total)
-                if not key:
-                    continue
-            state_keys[cls] = key
-        keys[state] = state_keys
-    return keys
-
-
-def _full_row_keys(node: Any, states: Sequence[int]) -> Dict[int, Any]:
-    """Quantized key of each state's full row sum, in one pass."""
-    terminal = node.terminal
-    raw: Dict[int, Any] = {
-        state: (0.0 if terminal else {}) for state in states
-    }
-    for row, col, entry in node.entries():
-        acc = raw.get(row)
-        if acc is None:
-            continue
-        if terminal:
-            raw[row] = acc + float(entry)
-        else:
-            for child, coefficient in entry.items():
-                acc[child] = acc.get(child, 0.0) + coefficient
-    if terminal:
-        return {state: quantize(float(v)) for state, v in raw.items()}
-    return {state: _formal_signature(v) for state, v in raw.items()}
+def _unstable(
+    splitter: SplitterFactory, partition: Partition
+) -> Optional[str]:
+    """Name a class that some class of ``partition``, as the splitter,
+    would split; ``None`` at the refinement's fixed point."""
+    blocks = dict(partition.blocks_with_ids())
+    for members in blocks.values():
+        key, touched = splitter(members)
+        for block_id in sorted({partition.block_of(s) for s in touched}):
+            block = blocks[block_id]
+            if len(block) > 1 and len({key(s) for s in block}) > 1:
+                return f"class sums over {members} differ inside class {block}"
+    return None
 
 
 def partition_reuse_proof(
@@ -155,107 +71,47 @@ def partition_reuse_proof(
 
     Returns ``None`` when the proof goes through, else a one-line
     reason naming the first violated condition (level, node, class) —
-    the caller records it and re-lumps from scratch.
+    the caller records it and re-lumps from scratch.  It only evaluates
+    key functions: no refinement budget is charged, no checkpoint taken.
 
     ``changed_nodes`` restricts the per-node stability scan to those
     node indices.  This is the incremental form of the proof: it is
     ONLY sound when the caller knows every other node of ``model`` is
     entry-identical to a model the partition is already stable on (a
     sweep point differs from the anchored base model exactly at its
-    site nodes).  The initial condition is always checked in full —
-    it is cheap and depends on rewards/initial vectors, not rates.
+    site nodes).  The initial condition is always checked in full; for
+    exact lumping it covers the full row sums of every node of the
+    level, so a ``changed_nodes`` set that breaks the contract may get
+    a rejection a scan of the named nodes alone would not give.
     """
     md = model.md
     if len(partitions) != md.num_levels:
-        return (
-            f"{len(partitions)} partitions for a {md.num_levels}-level MD"
-        )
-    for level in range(1, md.num_levels + 1):
-        partition = partitions[level - 1]
+        return f"{len(partitions)} partitions for a {md.num_levels}-level MD"
+    initial_partition, differ = (
+        (initial_partition_ordinary, "rewards")
+        if kind == "ordinary"
+        else (initial_partition_exact, "initial factors or full row sums")
+    )
+    for level, partition in enumerate(partitions, start=1):
         if partition.n != md.level_size(level):
             return (
                 f"level {level}: partition covers {partition.n} substates, "
                 f"level has {md.level_size(level)}"
             )
-        blocks = _blocks(partition)
-        # Initial condition: the quantities P_i_ini splits on must be
-        # constant on every class.
-        rewards = model.level_rewards[level - 1]
-        initial = model.level_initial[level - 1]
-        for block in blocks:
-            if len(block) < 2:
-                continue
-            if kind == "ordinary":
-                head = quantize(float(rewards[block[0]]))
-                for state in block[1:]:
-                    if quantize(float(rewards[state])) != head:
-                        return (
-                            f"level {level}: rewards differ inside class "
-                            f"{block}"
-                        )
-            else:
-                head = quantize(float(initial[block[0]]))
-                for state in block[1:]:
-                    if quantize(float(initial[state])) != head:
-                        return (
-                            f"level {level}: initial factors differ inside "
-                            f"class {block}"
-                        )
-        # Stability: every node of the level, against every class C.
-        # Each state's class sums are gathered in a single pass over
-        # the node's entries (sparse, zero classes dropped), so the
-        # check is linear in the node's entry count — comparing the
-        # sparse maps blockwise is the old per-(class, block) loop
-        # without the quadratic blowup in the number of classes.
-        nontrivial = [b for b in blocks if len(b) >= 2]
-        if not nontrivial:
+        if partition.is_discrete():
             continue
-        level_nodes = md.nodes_at(level)
-        scan = [
-            index
-            for index in sorted(level_nodes)
-            if changed_nodes is None or index in changed_nodes
-        ]
-        if not scan:
-            continue
-        class_of: Dict[int, int] = {}
-        for cls, block in enumerate(blocks):
-            for state in block:
-                class_of[state] = cls
-        states = [state for block in nontrivial for state in block]
-        for index in scan:
-            node = level_nodes[index]
-            if kind == "exact":
-                # Exact lumping additionally needs equal full row sums
-                # (condition (4) of Definition 3); per-class equality
-                # of quantized signatures does not imply it.
-                full = _full_row_keys(node, states)
-                for block in nontrivial:
-                    head = full[block[0]]
-                    for state in block[1:]:
-                        if full[state] != head:
-                            return (
-                                f"level {level} node {index}: full row "
-                                f"sums differ inside class {block}"
-                            )
-            keys = _node_class_keys(
-                node, class_of, states, transpose=(kind == "exact")
+        initial = initial_partition(model, level)
+        if not partition.refines(initial):
+            block = next(
+                b for b in partition.blocks()
+                if len({initial.block_of(s) for s in b}) > 1
             )
-            for block in nontrivial:
-                head = keys[block[0]]
-                for state in block[1:]:
-                    if keys[state] == head:
-                        continue
-                    mismatched = keys[state]
-                    culprit = min(
-                        cls
-                        for cls in set(head) | set(mismatched)
-                        if head.get(cls) != mismatched.get(cls)
-                    )
-                    return (
-                        f"level {level} node {index}: class sums over "
-                        f"{blocks[culprit]} differ inside class {block}"
-                    )
+            return f"level {level}: {differ} differ inside class {block}"
+        for index, node in sorted(md.nodes_at(level).items()):
+            if changed_nodes is None or index in changed_nodes:
+                reason = _unstable(md_node_splitter(node, kind), partition)
+                if reason is not None:
+                    return f"level {level} node {index}: {reason}"
     return None
 
 

@@ -115,17 +115,6 @@ def test_warm_start_reuses_partial_progress(chain_ctmc, reference):
     np.testing.assert_allclose(solution.distribution, reference, atol=1e-8)
 
 
-def test_warm_start_can_be_disabled(chain_ctmc):
-    solution = solve_with_fallback(
-        chain_ctmc,
-        chain=("power", "gauss-seidel"),
-        per_method={"power": {"max_iterations": 3}},
-        reuse_partial=False,
-    )
-    assert solution.method == "gauss-seidel"
-    assert not solution.attempts[1].warm_started
-
-
 def test_solver_error_carries_structured_context(chain_ctmc):
     with pytest.raises(SolverError) as excinfo:
         solve_with_fallback(

@@ -11,7 +11,6 @@ from repro.robust import faults
 from repro.robust.budgets import BudgetExceeded
 from repro.robust.faults import (
     FaultInjector,
-    FaultRule,
     InjectedBudgetFault,
     InjectedFault,
     InjectedLumpingFault,
@@ -95,36 +94,6 @@ def test_unknown_site_prefix_raises_base_injected_fault():
         with pytest.raises(InjectedFault) as excinfo:
             faults.check("custom.site")
     assert not isinstance(excinfo.value, (SolverError, LumpingError))
-
-
-def test_first_n_rule():
-    injector = FaultInjector([FaultRule("solver.power", first=2)])
-    with injector:
-        with pytest.raises(InjectedSolverFault):
-            faults.check("solver.power")
-        with pytest.raises(InjectedSolverFault):
-            faults.check("solver.power")
-        faults.check("solver.power")
-
-
-def test_seeded_probability_is_deterministic():
-    def firing_pattern(seed):
-        injector = FaultInjector(
-            [FaultRule("solver.direct", probability=0.5)], seed=seed
-        )
-        pattern = []
-        with injector:
-            for _ in range(32):
-                try:
-                    faults.check("solver.direct")
-                    pattern.append(False)
-                except InjectedSolverFault:
-                    pattern.append(True)
-        return pattern
-
-    assert firing_pattern(7) == firing_pattern(7)
-    assert any(firing_pattern(7))
-    assert not all(firing_pattern(7))
 
 
 def test_nested_injectors_both_apply():

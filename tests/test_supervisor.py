@@ -234,7 +234,6 @@ class TestFaultEffects:
     def test_one_shot_is_explicit_calls_only(self):
         assert FaultRule("x", fail_on=frozenset({3})).one_shot
         assert not FaultRule("x", after=3).one_shot
-        assert not FaultRule("x", first=2).one_shot
         assert not FaultRule("x").one_shot
 
     def test_identity_is_deterministic(self):

@@ -18,6 +18,7 @@ from repro.analysis import lump_and_solve
 from repro.errors import SweepError
 from repro.lumping.compositional import compositional_lump
 from repro.lumping.md_model import MDModel
+from repro.robust import faults
 from repro.robust.faults import inject_faults
 from repro.robust.report import RunReport
 from repro.service.spec import canonical_digest, demo_spec, model_from_spec
@@ -386,14 +387,22 @@ class TestEngine:
         assert second.outcomes[1].certificate is not None
 
     def test_transient_fault_retries_and_succeeds(self, tmp_path):
-        """A fault that fires once (range rule 1-1 on the first attempt
-        of point 2) is absorbed by the retry rung: the point still
-        lands done."""
+        """A fault that fires once (``sweep.point:2`` under a fired log,
+        so only on the first attempt of point 2) is absorbed by the
+        retry rung: the point still lands done."""
         spec = _sweep()
-        with inject_faults("sweep.frontier:99"):  # never fires
-            result = run_sweep(spec, str(tmp_path / "store"))
-        assert result.stats.failed == 0
-        assert result.stats.retries == 0
+        faults.set_fired_log(str(tmp_path / "fired.log"))
+        try:
+            with inject_faults("sweep.point:2"):
+                result = run_sweep(spec, str(tmp_path / "store"))
+        finally:
+            faults.set_fired_log(None)
+        assert [o.status for o in result.outcomes] == [POINT_DONE] * 3
+        point = result.outcomes[1]
+        assert point.index == 2
+        assert point.stats["attempt"] == "retry"
+        assert point.stats["attempts"] == 2
+        assert result.stats.retries == 1
 
     def test_fresh_store_and_frontier_mismatch_is_refused(self, tmp_path):
         spec = _sweep()

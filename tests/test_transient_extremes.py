@@ -4,8 +4,9 @@ Poisson branch) and related solver corners."""
 import numpy as np
 import pytest
 
-from repro.markov import CTMC, transient_distribution
+from repro.markov import CTMC, transient, transient_distribution
 from repro.markov.transient import _poisson_weights
+from repro.matrixdiagram import MDOperator, md_from_flat_matrix
 
 
 class TestLargeMeanPoisson:
@@ -50,3 +51,46 @@ class TestLargeMeanPoisson:
         pi_t = transient_distribution(chain, [1.0, 0.0], t)
         expected = 0.5 * (1 + np.exp(-2 * lam * t))
         assert pi_t[0] == pytest.approx(expected, abs=1e-9)
+
+
+class TestLongHorizon:
+    RATES = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0], [0.0, 4.0, 0.0]])
+
+    def test_md_transient_matches_flat_past_exp_underflow(self):
+        # lambda*t = 1.01 * 4 * 200 = 808: exp(-808) underflows to 0.0,
+        # so the Poisson weights must come from the large-mean branch.
+        chain = CTMC(self.RATES)
+        operator = MDOperator(md_from_flat_matrix(self.RATES))
+        pi_md = operator.transient(np.array([1.0, 0.0, 0.0]), 200.0)
+        pi_flat = transient_distribution(chain, [1.0, 0.0, 0.0], 200.0)
+        assert np.abs(pi_md - pi_flat).max() <= 1e-12
+        assert pi_flat == pytest.approx([2 / 9, 4 / 9, 1 / 3], abs=1e-12)
+
+    def test_flat_transient_makes_one_product_per_weight_after_the_first(
+        self, monkeypatch
+    ):
+        products = []
+
+        class Counting:
+            """The uniformized matrix, counting ``vector @ P``."""
+
+            __array_ufunc__ = None  # numpy defers ``@`` to __rmatmul__
+
+            def __init__(self, matrix):
+                self.matrix = matrix
+
+            def __rmatmul__(self, vector):
+                products.append(len(vector))
+                return vector @ self.matrix
+
+        uniformize = transient.uniformize
+
+        def counting_uniformize(ctmc):
+            p, lam = uniformize(ctmc)
+            return Counting(p), lam
+
+        monkeypatch.setattr(transient, "uniformize", counting_uniformize)
+        chain = CTMC(self.RATES)
+        transient_distribution(chain, [1.0, 0.0, 0.0], 3.0)
+        weights = _poisson_weights(chain.uniformization_rate() * 3.0, 1e-12)
+        assert len(products) == len(weights) - 1
