@@ -16,8 +16,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from repro.errors import ModelError, SolverError
+from repro.errors import ModelError
 from repro.markov.ctmc import CTMC
+from repro.markov.solvers import steady_state_power
 from repro.partitions import Partition
 
 
@@ -89,28 +90,16 @@ class DTMC:
         )
         return bool(n_components == 1)
 
-    def stationary_distribution(
-        self, tol: float = 1e-13, max_iterations: int = 1_000_000
-    ) -> np.ndarray:
-        """The stationary distribution via damped power iteration.
-
-        Damping (Cesaro averaging of consecutive iterates) makes the
-        iteration converge for periodic chains too.
-        """
-        if self.num_states == 0:
-            raise SolverError("cannot solve an empty chain")
-        if not self.is_irreducible():
-            raise SolverError(
-                "stationary distribution requires an irreducible chain"
-            )
-        pi = np.full(self.num_states, 1.0 / self.num_states)
-        for _ in range(max_iterations):
-            new_pi = 0.5 * pi + 0.5 * (pi @ self._matrix)
-            if np.abs(new_pi - pi).max() < tol:
-                new_pi /= new_pi.sum()
-                return new_pi
-            pi = new_pi
-        raise SolverError("power iteration did not converge")
+    def stationary_distribution(self) -> np.ndarray:
+        """The stationary distribution: the power solver
+        (:func:`~repro.markov.solvers.steady_state_power`, ``tol=1e-13``,
+        at most 10^6 iterations) on :meth:`to_ctmc`.  It uniformizes at
+        1.01 times the largest exit rate, which leaves every state a
+        self-loop, so periodic chains converge too.  Budgets, checkpoints
+        and the ``solver.power`` fault site apply as to any solve."""
+        return steady_state_power(
+            self.to_ctmc(), tol=1e-13, max_iterations=1_000_000
+        ).distribution
 
     # ------------------------------------------------------------------
     # conversions

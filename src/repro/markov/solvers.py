@@ -12,6 +12,18 @@ all returning a :class:`SteadyStateResult` with the distribution, residual
 and iteration count.  Solvers require an irreducible chain; callers solving
 a chain with transient states should first restrict to the recurrent class.
 
+The three iterative methods run one loop, :func:`_iterate`.  It owns the
+checkpoint resume (and the short-circuit on a completed record), the
+budget charge before each sweep, the ``delta < tol`` test, the converged
+save with its residual and ``converged-but-residual-high`` note, the
+periodic, budget-stop and final snapshots, and the non-convergence
+error.  Each method supplies only its setup (fault site, irreducibility
+check, matrices, start vector) and a sweep ``(pi, iteration) -> (next
+pi, delta)``: ``pi @ P`` for power, the damped renormalized step for
+Jacobi, the in-place forward sweep for Gauss-Seidel.  Power and
+Gauss-Seidel clip and renormalize their last iterate; Jacobi's is
+already normalized and is returned as it stands.
+
 Robustness integration: every solver checks the fault-injection site
 ``solver.<name>`` at entry and charges active resource budgets once per
 iteration (see :mod:`repro.robust`).  Non-convergence errors carry the
@@ -24,7 +36,7 @@ accept that warm start via ``x0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -34,6 +46,7 @@ from repro.errors import SolverError
 from repro.markov.ctmc import CTMC
 from repro.robust import budgets, checkpoint, faults
 from repro.robust.budgets import BudgetExceeded
+from repro.util.numeric import JACOBI_RELAXATION
 
 
 @dataclass
@@ -125,6 +138,17 @@ def _solver_resume(ck, method: str, n: int, q, tol: Optional[float]):
     return key, guard, ck.load(key, guard=guard)
 
 
+def _completed(payload: dict, method: str) -> SteadyStateResult:
+    """The result a complete checkpoint record holds."""
+    return SteadyStateResult(
+        np.asarray(payload["pi"], dtype=float),
+        int(payload["iterations"]),
+        float(payload["residual"]),
+        method,
+        note=payload.get("note"),
+    )
+
+
 def _initial_vector(n: int, x0: Optional[np.ndarray]) -> np.ndarray:
     """Uniform start, or a normalized copy of a warm-start vector."""
     if x0 is None:
@@ -155,13 +179,7 @@ def steady_state_direct(ctmc: CTMC) -> SteadyStateResult:
     ck = checkpoint.active()
     key, guard, record = _solver_resume(ck, "direct", n, q, None)
     if record is not None and record["complete"]:
-        payload = record["payload"]
-        return SteadyStateResult(
-            np.asarray(payload["pi"], dtype=float),
-            0,
-            float(payload["residual"]),
-            "direct",
-        )
+        return _completed(record["payload"], "direct")
     a = sparse.lil_matrix(q.T)
     a[n - 1, :] = 1.0
     b = np.zeros(n)
@@ -202,6 +220,78 @@ def steady_state_direct(ctmc: CTMC) -> SteadyStateResult:
     return SteadyStateResult(pi, 0, residual, "direct")
 
 
+def _clip_renormalize(pi: np.ndarray) -> np.ndarray:
+    """Clip roundoff negatives and renormalize: how power and
+    Gauss-Seidel turn their last iterate into a result."""
+    pi = np.clip(pi, 0.0, None)
+    pi /= pi.sum()
+    return pi
+
+
+def _iterate(
+    method: str,
+    q: sparse.csr_matrix,
+    pi: np.ndarray,
+    sweep: Callable[[np.ndarray, int], Tuple[np.ndarray, float]],
+    finish: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+    max_iterations: int,
+) -> SteadyStateResult:
+    """The loop every iterative solver runs around its ``sweep`` (see the
+    module docstring).  The budget is charged before each sweep, so a
+    ``BudgetExceeded`` always sees a whole-iteration vector, which the
+    in-place Gauss-Seidel sweep needs.  ``finish`` turns the last iterate
+    into the result, on convergence and in the non-convergence error."""
+    ck = checkpoint.active()
+    key, guard, record = _solver_resume(ck, method, q.shape[0], q, tol)
+    start = 1
+    if record is not None:
+        if record["complete"]:
+            return _completed(record["payload"], method)
+        # JSON round-trips float64 bitwise (repr-based), so the resumed
+        # iterate is the killed run's exact vector.
+        pi = np.asarray(record["payload"]["pi"], dtype=float)
+        start = int(record["payload"]["iteration"]) + 1
+    completed = start - 1
+
+    def snapshot() -> None:
+        if ck is not None:
+            ck.save(
+                key, {"pi": pi.tolist(), "iteration": completed}, guard=guard
+            )
+
+    try:
+        for iteration in range(start, max_iterations + 1):
+            budgets.charge_iterations(1, stage="solve")
+            pi, delta = sweep(pi, iteration)
+            completed = iteration
+            if delta < tol:
+                pi = finish(pi)
+                residual = _residual(pi, q)
+                note = _convergence_note(delta, residual, tol)
+                if ck is not None:
+                    payload = {"pi": pi.tolist(), "iterations": iteration,
+                               "residual": residual, "note": note}
+                    ck.save(key, payload, guard=guard, complete=True)
+                return SteadyStateResult(
+                    pi, iteration, residual, method, note=note
+                )
+            if ck is not None and ck.tick(key):
+                snapshot()
+    except BudgetExceeded:
+        snapshot()
+        raise
+    snapshot()
+    pi = finish(pi)
+    raise SolverError(
+        f"{method} iteration did not converge in {max_iterations} iterations",
+        method=method,
+        iterations=max_iterations,
+        residual=_residual(pi, q),
+        last_iterate=pi,
+    )
+
+
 def steady_state_power(
     ctmc: CTMC,
     tol: float = 1e-12,
@@ -211,79 +301,16 @@ def steady_state_power(
     """Power iteration ``pi <- pi P`` on the uniformized DTMC."""
     faults.check("solver.power")
     _check_irreducible(ctmc, "power")
-    n = ctmc.num_states
     p = ctmc.embedded_dtmc()
-    q = ctmc.generator_matrix()
-    pi = _initial_vector(n, x0)
-    ck = checkpoint.active()
-    key, guard, record = _solver_resume(ck, "power", n, q, tol)
-    start = 1
-    if record is not None:
-        payload = record["payload"]
-        if record["complete"]:
-            return SteadyStateResult(
-                np.asarray(payload["pi"], dtype=float),
-                int(payload["iterations"]),
-                float(payload["residual"]),
-                "power",
-                note=payload.get("note"),
-            )
-        # JSON round-trips float64 bitwise (repr-based), so the resumed
-        # iterate is the killed run's exact vector.
-        pi = np.asarray(payload["pi"], dtype=float)
-        start = int(payload["iteration"]) + 1
-    completed = start - 1
-    try:
-        for iteration in range(start, max_iterations + 1):
-            budgets.charge_iterations(1, stage="solve")
-            new_pi = pi @ p
-            delta = float(np.abs(new_pi - pi).max())
-            pi = new_pi
-            completed = iteration
-            if delta < tol:
-                pi = np.clip(pi, 0.0, None)
-                pi /= pi.sum()
-                residual = _residual(pi, q)
-                note = _convergence_note(delta, residual, tol)
-                if ck is not None:
-                    ck.save(
-                        key,
-                        {
-                            "pi": pi.tolist(),
-                            "iterations": iteration,
-                            "residual": residual,
-                            "note": note,
-                        },
-                        guard=guard,
-                        complete=True,
-                    )
-                return SteadyStateResult(
-                    pi, iteration, residual, "power", note=note
-                )
-            if ck is not None and ck.tick(key):
-                ck.save(
-                    key,
-                    {"pi": pi.tolist(), "iteration": completed},
-                    guard=guard,
-                )
-    except BudgetExceeded:
-        if ck is not None:
-            ck.save(
-                key, {"pi": pi.tolist(), "iteration": completed}, guard=guard
-            )
-        raise
-    if ck is not None:
-        ck.save(
-            key, {"pi": pi.tolist(), "iteration": completed}, guard=guard
-        )
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    raise SolverError(
-        f"power iteration did not converge in {max_iterations} iterations",
-        method="power",
-        iterations=max_iterations,
-        residual=_residual(pi, q),
-        last_iterate=pi,
+
+    def sweep(pi: np.ndarray, iteration: int) -> Tuple[np.ndarray, float]:
+        new_pi = pi @ p
+        return new_pi, float(np.abs(new_pi - pi).max())
+
+    pi = _initial_vector(ctmc.num_states, x0)
+    return _iterate(
+        "power", ctmc.generator_matrix(), pi, sweep, _clip_renormalize,
+        tol, max_iterations,
     )
 
 
@@ -291,7 +318,6 @@ def steady_state_jacobi(
     ctmc: CTMC,
     tol: float = 1e-12,
     max_iterations: int = 200_000,
-    relaxation: float = 0.9,
     x0: Optional[np.ndarray] = None,
 ) -> SteadyStateResult:
     """Damped Jacobi iteration on ``pi Q = 0``.
@@ -299,10 +325,11 @@ def steady_state_jacobi(
     Writing ``Q = D + O`` with ``D`` the diagonal, the fixed point is
     ``pi = -(pi O) D^{-1}``; each sweep renormalizes.  The undamped sweep
     can oscillate (e.g. any 2-state chain is period-2), so the update is
-    relaxed: ``pi <- (1 - w) pi + w * step(pi)`` with ``0 < w < 1``.
+    relaxed: ``pi <- (1 - w) pi + w * step(pi)`` with
+    ``w =`` :data:`~repro.util.numeric.JACOBI_RELAXATION`.  The iterate
+    is normalized by every sweep, so the result is the last iterate as
+    it stands.
     """
-    if not 0 < relaxation <= 1:
-        raise SolverError("relaxation must be in (0, 1]", method="jacobi")
     faults.check("solver.jacobi")
     _check_irreducible(ctmc, "jacobi")
     n = ctmc.num_states
@@ -312,84 +339,28 @@ def steady_state_jacobi(
         # An absorbing state in an irreducible chain means n == 1.
         pi = np.ones(n) / n
         return SteadyStateResult(pi, 0, _residual(pi, q), "jacobi")
-    off = q - sparse.diags(diag)
-    off = sparse.csr_matrix(off)
+    off = sparse.csr_matrix(q - sparse.diags(diag))
     inv_diag = -1.0 / diag
-    pi = _initial_vector(n, x0)
-    ck = checkpoint.active()
-    key, guard, record = _solver_resume(ck, "jacobi", n, q, tol)
-    start = 1
-    if record is not None:
-        payload = record["payload"]
-        if record["complete"]:
-            return SteadyStateResult(
-                np.asarray(payload["pi"], dtype=float),
-                int(payload["iterations"]),
-                float(payload["residual"]),
-                "jacobi",
-                note=payload.get("note"),
+    w = JACOBI_RELAXATION
+
+    def sweep(pi: np.ndarray, iteration: int) -> Tuple[np.ndarray, float]:
+        step = (pi @ off) * inv_diag
+        total = step.sum()
+        if total <= 0:
+            raise SolverError(
+                "jacobi iteration collapsed to zero",
+                method="jacobi",
+                iterations=iteration,
+                residual=_residual(pi, q),
+                last_iterate=pi,
             )
-        pi = np.asarray(payload["pi"], dtype=float)
-        start = int(payload["iteration"]) + 1
-    completed = start - 1
-    try:
-        for iteration in range(start, max_iterations + 1):
-            budgets.charge_iterations(1, stage="solve")
-            step = (pi @ off) * inv_diag
-            total = step.sum()
-            if total <= 0:
-                raise SolverError(
-                    "jacobi iteration collapsed to zero",
-                    method="jacobi",
-                    iterations=iteration,
-                    residual=_residual(pi, q),
-                    last_iterate=pi,
-                )
-            new_pi = (1.0 - relaxation) * pi + relaxation * (step / total)
-            new_pi /= new_pi.sum()
-            delta = float(np.abs(new_pi - pi).max())
-            pi = new_pi
-            completed = iteration
-            if delta < tol:
-                residual = _residual(pi, q)
-                note = _convergence_note(delta, residual, tol)
-                if ck is not None:
-                    ck.save(
-                        key,
-                        {
-                            "pi": pi.tolist(),
-                            "iterations": iteration,
-                            "residual": residual,
-                            "note": note,
-                        },
-                        guard=guard,
-                        complete=True,
-                    )
-                return SteadyStateResult(
-                    pi, iteration, residual, "jacobi", note=note
-                )
-            if ck is not None and ck.tick(key):
-                ck.save(
-                    key,
-                    {"pi": pi.tolist(), "iteration": completed},
-                    guard=guard,
-                )
-    except BudgetExceeded:
-        if ck is not None:
-            ck.save(
-                key, {"pi": pi.tolist(), "iteration": completed}, guard=guard
-            )
-        raise
-    if ck is not None:
-        ck.save(
-            key, {"pi": pi.tolist(), "iteration": completed}, guard=guard
-        )
-    raise SolverError(
-        f"jacobi iteration did not converge in {max_iterations} iterations",
-        method="jacobi",
-        iterations=max_iterations,
-        residual=_residual(pi, q),
-        last_iterate=pi,
+        new_pi = (1.0 - w) * pi + w * (step / total)
+        new_pi /= new_pi.sum()
+        return new_pi, float(np.abs(new_pi - pi).max())
+
+    return _iterate(
+        "jacobi", q, _initial_vector(n, x0), sweep, lambda pi: pi,
+        tol, max_iterations,
     )
 
 
@@ -414,93 +385,33 @@ def steady_state_gauss_seidel(
         pi = np.ones(n) / n
         return SteadyStateResult(pi, 0, _residual(pi, q), "gauss-seidel")
     indptr, indices, data = qt.indptr, qt.indices, qt.data
-    pi = _initial_vector(n, x0)
-    ck = checkpoint.active()
-    key, guard, record = _solver_resume(ck, "gauss-seidel", n, q, tol)
-    start = 1
-    if record is not None:
-        payload = record["payload"]
-        if record["complete"]:
-            return SteadyStateResult(
-                np.asarray(payload["pi"], dtype=float),
-                int(payload["iterations"]),
-                float(payload["residual"]),
-                "gauss-seidel",
-                note=payload.get("note"),
+
+    def sweep(pi: np.ndarray, iteration: int) -> Tuple[np.ndarray, float]:
+        delta = 0.0
+        for j in range(n):
+            acc = 0.0
+            for k in range(indptr[j], indptr[j + 1]):
+                i = indices[k]
+                if i != j:
+                    acc += data[k] * pi[i]
+            new_value = -acc / diag[j]
+            delta = max(delta, abs(new_value - pi[j]))
+            pi[j] = new_value
+        total = pi.sum()
+        if total <= 0:
+            raise SolverError(
+                "gauss-seidel iteration collapsed to zero",
+                method="gauss-seidel",
+                iterations=iteration,
+                residual=_residual(pi, q),
+                last_iterate=pi,
             )
-        pi = np.asarray(payload["pi"], dtype=float)
-        start = int(payload["iteration"]) + 1
-    completed = start - 1
-    try:
-        for iteration in range(start, max_iterations + 1):
-            # The budget hook fires before the in-place sweep touches pi,
-            # so a BudgetExceeded always sees a whole-iteration vector.
-            budgets.charge_iterations(1, stage="solve")
-            delta = 0.0
-            for j in range(n):
-                acc = 0.0
-                for k in range(indptr[j], indptr[j + 1]):
-                    i = indices[k]
-                    if i != j:
-                        acc += data[k] * pi[i]
-                new_value = -acc / diag[j]
-                delta = max(delta, abs(new_value - pi[j]))
-                pi[j] = new_value
-            total = pi.sum()
-            if total <= 0:
-                raise SolverError(
-                    "gauss-seidel iteration collapsed to zero",
-                    method="gauss-seidel",
-                    iterations=iteration,
-                    residual=_residual(pi, q),
-                    last_iterate=pi,
-                )
-            pi /= total
-            completed = iteration
-            if delta < tol:
-                pi = np.clip(pi, 0.0, None)
-                pi /= pi.sum()
-                residual = _residual(pi, q)
-                note = _convergence_note(delta, residual, tol)
-                if ck is not None:
-                    ck.save(
-                        key,
-                        {
-                            "pi": pi.tolist(),
-                            "iterations": iteration,
-                            "residual": residual,
-                            "note": note,
-                        },
-                        guard=guard,
-                        complete=True,
-                    )
-                return SteadyStateResult(
-                    pi, iteration, residual, "gauss-seidel", note=note
-                )
-            if ck is not None and ck.tick(key):
-                ck.save(
-                    key,
-                    {"pi": pi.tolist(), "iteration": completed},
-                    guard=guard,
-                )
-    except BudgetExceeded:
-        if ck is not None:
-            ck.save(
-                key, {"pi": pi.tolist(), "iteration": completed}, guard=guard
-            )
-        raise
-    if ck is not None:
-        ck.save(
-            key, {"pi": pi.tolist(), "iteration": completed}, guard=guard
-        )
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    raise SolverError(
-        f"gauss-seidel did not converge in {max_iterations} iterations",
-        method="gauss-seidel",
-        iterations=max_iterations,
-        residual=_residual(pi, q),
-        last_iterate=pi,
+        pi /= total
+        return pi, delta
+
+    return _iterate(
+        "gauss-seidel", q, _initial_vector(n, x0), sweep, _clip_renormalize,
+        tol, max_iterations,
     )
 
 

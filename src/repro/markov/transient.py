@@ -2,12 +2,15 @@
 
 ``pi(t) = sum_k PoissonPMF(k; lambda t) * pi(0) P^k`` where ``P`` is the
 uniformized DTMC.  The Poisson series is truncated adaptively so the
-neglected tail mass is below the requested tolerance.
+neglected tail mass is below the requested tolerance.  One helper sums it
+for the flat chain and for :meth:`repro.matrixdiagram.MDOperator.transient`,
+which differ only in the step ``term -> term P``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import math
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -56,6 +59,49 @@ def _poisson_weights(mean: float, tol: float) -> np.ndarray:
     return np.asarray(weights)
 
 
+def _start_vector(initial: Sequence[float], size: int) -> np.ndarray:
+    """A private float copy of a start vector, checked to have ``size``
+    entries and unit mass (within 1e-9)."""
+    pi = np.asarray(initial, dtype=float).copy()
+    if pi.shape != (size,):
+        raise SolverError(
+            f"initial distribution has shape {pi.shape}, expected ({size},)"
+        )
+    if abs(pi.sum() - 1.0) > 1e-9:
+        raise SolverError("initial distribution must sum to 1")
+    return pi
+
+
+def _uniformization_series(
+    pi0: np.ndarray,
+    time: float,
+    rate: float,
+    step: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+) -> np.ndarray:
+    """``sum_k PoissonPMF(k; rate * time) * pi0 P^k``, renormalized over
+    the truncated tail, where ``step(term)`` computes ``term P`` for the
+    chain uniformized at ``rate``.  Rejects a negative or non-finite
+    horizon; ``pi0`` itself is returned at ``time == 0``."""
+    if not 0 <= time < math.inf:
+        raise SolverError(
+            f"time must be finite and non-negative, not {time!r}"
+        )
+    if time == 0:
+        return pi0
+    result = np.zeros_like(pi0)
+    term = pi0
+    for k, weight in enumerate(_poisson_weights(rate * time, tol)):
+        if k:
+            term = step(term)
+        if weight > 0:
+            result += weight * term
+    total = result.sum()
+    if total <= 0:
+        raise SolverError("transient solution lost all probability mass")
+    return result / total
+
+
 def transient_distribution(
     ctmc: CTMC,
     initial_distribution: Sequence[float],
@@ -70,29 +116,6 @@ def transient_distribution(
     >>> bool(abs(pi[0] - 0.5) < 1e-9)
     True
     """
-    if time < 0:
-        raise SolverError("time must be non-negative")
-    pi0 = np.asarray(initial_distribution, dtype=float)
-    if pi0.shape != (ctmc.num_states,):
-        raise SolverError(
-            f"initial distribution has shape {pi0.shape}, "
-            f"expected ({ctmc.num_states},)"
-        )
-    if abs(pi0.sum() - 1.0) > 1e-9:
-        raise SolverError("initial distribution must sum to 1")
-    if time == 0 or ctmc.num_states == 0:
-        return pi0.copy()
+    pi0 = _start_vector(initial_distribution, ctmc.num_states)
     p, lam = uniformize(ctmc)
-    weights = _poisson_weights(lam * time, tol)
-    result = np.zeros_like(pi0)
-    term = pi0.copy()
-    for k, weight in enumerate(weights):
-        if k:
-            term = term @ p
-        if weight > 0:
-            result += weight * term
-    # Renormalize the truncation remainder.
-    total = result.sum()
-    if total <= 0:
-        raise SolverError("transient solution lost all probability mass")
-    return result / total
+    return _uniformization_series(pi0, time, lam, lambda term: term @ p, tol)

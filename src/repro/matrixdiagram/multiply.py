@@ -15,8 +15,9 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import MatrixDiagramError, SolverError
-from repro.markov.transient import _poisson_weights
+from repro.markov.transient import _start_vector, _uniformization_series
 from repro.matrixdiagram.md import MatrixDiagram
+from repro.util.numeric import JACOBI_RELAXATION
 
 
 def _terminal_matrix(
@@ -166,27 +167,19 @@ class MDOperator:
         initial: np.ndarray,
         tol: float = 1e-12,
         max_iterations: int = 500_000,
-        relaxation: float = 0.9,
     ) -> np.ndarray:
         """Stationary distribution by damped Jacobi sweeps on ``pi Q = 0``
         using only MD products and the symbolic diagonal.
 
         With ``Q = R - diag(rowsums)``, the Jacobi split uses the diagonal
         ``d = diag(R) - rowsums`` and off-diagonal action
-        ``pi O = pi R - pi * diag(R)``; see
-        :func:`repro.markov.solvers.steady_state_jacobi` for the damping
-        rationale.  Same support requirements as
-        :meth:`steady_state_power`.
+        ``pi O = pi R - pi * diag(R)``; the damping weight is
+        :data:`repro.util.numeric.JACOBI_RELAXATION` (see
+        :func:`repro.markov.solvers.steady_state_jacobi`).  Same support
+        requirements as :meth:`steady_state_power`.
         """
-        pi = np.asarray(initial, dtype=float).copy()
-        if pi.shape != (self.size,):
-            raise SolverError(
-                f"initial vector has shape {pi.shape}, expected ({self.size},)"
-            )
-        if abs(pi.sum() - 1.0) > 1e-9:
-            raise SolverError("initial vector must sum to 1")
-        if not 0 < relaxation <= 1:
-            raise SolverError("relaxation must be in (0, 1]")
+        pi = _start_vector(initial, self.size)
+        w = JACOBI_RELAXATION
         diag_r = self.diagonal()
         q_diagonal = diag_r - self.row_sums()
         # States with zero Q-diagonal have no outgoing behaviour; they can
@@ -205,7 +198,7 @@ class MDOperator:
             total = step.sum()
             if total <= 0:
                 raise SolverError("MD jacobi iteration collapsed to zero")
-            new_pi = (1.0 - relaxation) * pi + relaxation * (step / total)
+            new_pi = (1.0 - w) * pi + w * (step / total)
             np.clip(new_pi, 0.0, None, out=new_pi)
             new_pi /= new_pi.sum()
             delta = float(np.abs(new_pi - pi).max())
@@ -228,30 +221,14 @@ class MDOperator:
         ``pi(t) = sum_k Poisson(k; lambda t) * pi(0) P^k`` with
         ``pi P = pi + (pi R - pi * rowsums) / lambda``.
         """
-        pi = np.asarray(initial, dtype=float).copy()
-        if pi.shape != (self.size,):
-            raise SolverError(
-                f"initial vector has shape {pi.shape}, expected ({self.size},)"
-            )
-        if abs(pi.sum() - 1.0) > 1e-9:
-            raise SolverError("initial vector must sum to 1")
-        if time < 0:
-            raise SolverError("time must be non-negative")
-        if time == 0:
-            return pi
+        pi = _start_vector(initial, self.size)
         row_sums = self.row_sums()
         lam = 1.01 * float(row_sums.max()) if row_sums.max() > 0 else 1.0
-        result = np.zeros_like(pi)
-        term = pi
-        for k, weight in enumerate(_poisson_weights(lam * time, tol)):
-            if k:
-                term = term + (self.left(term) - term * row_sums) / lam
-            if weight > 0:
-                result += weight * term
-        total = result.sum()
-        if total <= 0:
-            raise SolverError("transient solution lost all probability mass")
-        return result / total
+
+        def step(term: np.ndarray) -> np.ndarray:
+            return term + (self.left(term) - term * row_sums) / lam
+
+        return _uniformization_series(pi, time, lam, step, tol)
 
     def steady_state_power(
         self,
@@ -267,13 +244,7 @@ class MDOperator:
         moves mass out of the class's closure, so unreachable potential
         states simply stay at probability zero.
         """
-        pi = np.asarray(initial, dtype=float).copy()
-        if pi.shape != (self.size,):
-            raise SolverError(
-                f"initial vector has shape {pi.shape}, expected ({self.size},)"
-            )
-        if abs(pi.sum() - 1.0) > 1e-9:
-            raise SolverError("initial vector must sum to 1")
+        pi = _start_vector(initial, self.size)
         row_sums = self.row_sums()
         lam = 1.01 * float(row_sums.max()) if row_sums.max() > 0 else 1.0
         for _iteration in range(1, max_iterations + 1):

@@ -18,7 +18,7 @@ the escalation ladder's final rung can refine a vector beyond float64.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,11 @@ DEFAULT_RTOL = 1e-9
 #: effectively zero (far below any honest probability mass, far above
 #: denormal noise).
 NEAR_ZERO_MASS = 1e-30
+
+#: Damping weight ``w`` of every Jacobi sweep in the library (flat, MD and
+#: :func:`extended_jacobi_refine`): ``pi <- (1 - w) pi + w * step(pi)``.
+#: The undamped sweep can oscillate; any 2-state chain is period-2.
+JACOBI_RELAXATION = 0.9
 
 
 def close(a: float, b: float, rtol: float = DEFAULT_RTOL, atol: float = 1e-12) -> bool:
@@ -56,17 +61,16 @@ def normalize(
     vector: "np.ndarray",
     *,
     name: str = "distribution",
-    min_mass: float = NEAR_ZERO_MASS,
 ) -> "np.ndarray":
     """Normalize ``vector`` to unit total mass, defensively.
 
     Raises a diagnostic :class:`~repro.errors.SolverError` naming the
     defect — NaN entries, infinite entries, negative total mass, or a
-    total at/below ``min_mass`` — instead of returning a NaN-bearing or
-    meaningless vector for downstream code to trip over much later.
-    Small negative entries (solver noise) are clipped to zero before
-    summing; the caller is expected to have bounds-checked anything
-    larger via the certificate's nonnegativity margin.
+    total at/below :data:`NEAR_ZERO_MASS` — instead of returning a
+    NaN-bearing or meaningless vector for downstream code to trip over
+    much later.  Small negative entries (solver noise) are clipped to
+    zero before summing; the caller is expected to have bounds-checked
+    anything larger via the certificate's nonnegativity margin.
     """
     arr = np.asarray(vector, dtype=float).ravel()
     nan_count = int(np.isnan(arr).sum())
@@ -78,10 +82,10 @@ def normalize(
         )
     clipped = np.clip(arr, 0.0, None)
     total = float(clipped.sum())
-    if total <= min_mass:
+    if total <= NEAR_ZERO_MASS:
         raise SolverError(
             f"cannot normalize {name}: total mass {total:.6e} is zero or "
-            f"near zero (threshold {min_mass:.1e}; "
+            f"near zero (threshold {NEAR_ZERO_MASS:.1e}; "
             f"min entry {float(arr.min()) if arr.size else 0.0:.6e})"
         )
     return clipped / total
@@ -130,22 +134,21 @@ def extended_jacobi_refine(
     data: "np.ndarray",
     diag: "np.ndarray",
     *,
-    sweeps: int = 100,
-    relaxation: float = 0.9,
-    tol: Optional[float] = None,
+    sweeps: int,
+    tol: float,
 ) -> "np.ndarray":
     """Damped Jacobi sweeps of ``pi Q = 0`` in extended precision.
 
     ``(rows, cols, data)`` hold the *off-diagonal* entries of ``Q`` and
-    ``diag`` its diagonal; ``x0`` seeds the iteration.  Each sweep
-    computes ``pi <- (1-w) pi + w * (-(pi O) / d)`` in
-    ``numpy.longdouble`` and renormalizes; stops early when the sweep
-    delta drops below ``tol`` (when given).  Returns the refined vector
-    as float64 via :func:`normalize` (so a collapsed refinement raises a
-    diagnostic error instead of returning garbage).
+    ``diag`` its diagonal; ``x0`` seeds the iteration.  Each of at most
+    ``sweeps`` sweeps computes ``pi <- (1-w) pi + w * (-(pi O) / d)``
+    (``w =`` :data:`JACOBI_RELAXATION`) in ``numpy.longdouble`` and
+    renormalizes; stops early when the sweep delta drops below ``tol``.
+    Returns the refined vector as float64 via :func:`normalize` (so a
+    collapsed refinement raises a diagnostic error instead of returning
+    garbage).
     """
-    if not 0 < relaxation <= 1:
-        raise SolverError("relaxation must be in (0, 1]", method="float128")
+    w = JACOBI_RELAXATION
     diag_ld = np.asarray(diag, dtype=np.longdouble)
     if diag_ld.size and np.any(diag_ld == 0):
         # An absorbing state: the chain is a single state (or not
@@ -161,11 +164,11 @@ def extended_jacobi_refine(
         step_total = step.sum()
         if not step_total > 0:
             break
-        new_pi = (1.0 - relaxation) * pi + relaxation * (step / step_total)
+        new_pi = (1.0 - w) * pi + w * (step / step_total)
         new_pi /= new_pi.sum()
         delta = float(np.abs(new_pi - pi).max())
         pi = new_pi
-        if tol is not None and delta < tol:
+        if delta < tol:
             break
     return normalize(np.asarray(pi, dtype=float), name="refined vector")
 

@@ -2,6 +2,10 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,11 @@ from repro.bench.table1 import run_table1_row_robust
 from repro.lumping import compositional_lump
 from repro.lumping.refinement import RefinementStats, comp_lumping
 from repro.markov.ctmc import CTMC
+from repro.markov.random_chains import random_ctmc
 from repro.markov.solvers import (
+    steady_state,
     steady_state_gauss_seidel,
+    steady_state_jacobi,
     steady_state_power,
 )
 from repro.models import TandemParams
@@ -286,6 +293,20 @@ class TestSolverResume:
         assert resumed.iterations == clean.iterations
         assert np.array_equal(resumed.distribution, clean.distribution)
 
+    def test_jacobi_budget_kill_then_resume_bitwise(self, tmp_path):
+        ctmc = ring_ctmc()
+        clean = steady_state_jacobi(ctmc, tol=1e-12)
+        assert clean.iterations > 60
+        ck_dir = str(tmp_path)
+        with pytest.raises(BudgetExceeded):
+            with Checkpointer(ck_dir), Budget(max_iterations=50):
+                steady_state_jacobi(ctmc, tol=1e-12)
+        with Checkpointer(ck_dir, resume=True) as ck:
+            resumed = steady_state_jacobi(ctmc, tol=1e-12)
+        assert any(e.kind == "resumed" for e in ck.events)
+        assert resumed.iterations == clean.iterations
+        assert np.array_equal(resumed.distribution, clean.distribution)
+
     def test_completed_solve_is_skipped_on_rerun(self, tmp_path):
         ctmc = ring_ctmc()
         ck_dir = str(tmp_path)
@@ -308,6 +329,55 @@ class TestSolverResume:
         with Checkpointer(ck_dir, resume=True) as ck:
             steady_state_power(ring_ctmc(seed=2), tol=1e-10)
         assert any(e.kind == "stale" for e in ck.events)
+
+
+#: A child that solves under a checkpointer saving every 8 iterations and
+#: an effectively unlimited budget, so that ``REPRO_FAULTS`` can SIGKILL
+#: it at a budget-hook call.  argv: checkpoint directory, method.
+_KILLED_SOLVE = """
+import sys
+from repro.markov.random_chains import random_ctmc
+from repro.markov.solvers import steady_state
+from repro.robust.budgets import Budget
+from repro.robust.checkpoint import Checkpointer
+with Checkpointer(sys.argv[1], interval_iterations=8):
+    with Budget(max_iterations=10**9):
+        steady_state(random_ctmc(40, density=0.1, seed=5), method=sys.argv[2])
+"""
+
+
+class TestSolverSigkillResume:
+    """A solver process killed outright leaves only its periodic
+    ``tick`` snapshots (no ``BudgetExceeded`` handler runs), and a
+    resume from the last of them must replay the clean solve bitwise."""
+
+    #: The budget-hook call that kills the child: iteration 24's charge,
+    #: after the snapshots of iterations 8 and 16.  Gauss-Seidel, the
+    #: fastest of the three, needs 35 iterations on this chain.
+    KILL_AT = 24
+
+    @pytest.mark.parametrize("method", ["power", "jacobi", "gauss-seidel"])
+    def test_sigkill_then_resume_from_periodic_snapshot_bitwise(
+        self, tmp_path, method
+    ):
+        ctmc = random_ctmc(40, density=0.1, seed=5)
+        clean = steady_state(ctmc, method=method)
+        assert clean.iterations > self.KILL_AT
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("REPRO_FAULTS_FIRED_LOG", None)
+        env["REPRO_FAULTS"] = f"budget:{self.KILL_AT}@sigkill"
+        child = subprocess.run(
+            [sys.executable, "-c", _KILLED_SOLVE, str(tmp_path), method],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        with Checkpointer(str(tmp_path), resume=True) as ck:
+            resumed = steady_state(ctmc, method=method)
+        assert any(e.kind == "resumed" for e in ck.events)
+        assert resumed.iterations == clean.iterations
+        assert np.array_equal(resumed.distribution, clean.distribution)
 
 
 class TestRefinementResume:

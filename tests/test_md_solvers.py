@@ -92,8 +92,6 @@ class TestMDJacobi:
             op.steady_state_jacobi(np.zeros(3))
         with pytest.raises(SolverError):
             op.steady_state_jacobi(np.full(4, 0.3))
-        with pytest.raises(SolverError):
-            op.steady_state_jacobi(np.full(4, 0.25), relaxation=0.0)
 
     def test_iteration_limit(self):
         md = irreducible_md()

@@ -94,3 +94,14 @@ class TestLongHorizon:
         transient_distribution(chain, [1.0, 0.0, 0.0], 3.0)
         weights = _poisson_weights(chain.uniformization_rate() * 3.0, 1e-12)
         assert len(products) == len(weights) - 1
+
+    @pytest.mark.parametrize("time", [np.inf, np.nan])
+    def test_non_finite_horizon_rejected_by_both_entry_points(self, time):
+        from repro.errors import SolverError
+
+        start = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(SolverError):
+            transient_distribution(CTMC(self.RATES), start, time)
+        operator = MDOperator(md_from_flat_matrix(self.RATES))
+        with pytest.raises(SolverError):
+            operator.transient(start, time)
