@@ -2,12 +2,14 @@
 
 The MD's raison d'etre (Section 1): iteration vectors, not the matrix,
 bound the solvable model size.  This bench compares the symbolic product
-against the flat sparse product and reports the memory gap.
+against the flat sparse product and against the path-by-path product it
+replaced (``tests/md_multiply_oracle.py``), and reports the memory gap.
 """
 
 import numpy as np
 
 from repro.matrixdiagram import MDOperator, flatten, md_stats
+from tests import md_multiply_oracle
 
 
 def test_md_product(benchmark, small_tandem_bench):
@@ -15,6 +17,13 @@ def test_md_product(benchmark, small_tandem_bench):
     op = MDOperator(md)
     x = np.random.default_rng(0).random(md.potential_size())
     benchmark(op.left, x)
+
+
+def test_oracle_product(benchmark, small_tandem_bench):
+    """The path-by-path product on ``test_md_product``'s MD and vector."""
+    md = small_tandem_bench["model"].md
+    x = np.random.default_rng(0).random(md.potential_size())
+    benchmark(md_multiply_oracle.md_vector_multiply, md, x)
 
 
 def test_flat_product(benchmark, small_tandem_bench):
@@ -30,6 +39,18 @@ def test_products_agree(small_tandem_bench):
     flat = flatten(md)
     x = np.random.default_rng(1).random(md.potential_size())
     assert np.abs(op.left(x) - x @ flat).max() < 1e-9
+
+
+def test_paper_scale_products_agree(paper_tandem_j1):
+    """On the unlumped paper-scale J=1 MD (3,538,944 potential states)
+    both products equal the path-by-path oracle to 1e-12 relative."""
+    md = paper_tandem_j1["model"].md
+    op = MDOperator(md)
+    x = np.random.default_rng(2).random(md.potential_size())
+    for side in ("left", "right"):
+        expected = md_multiply_oracle.md_vector_multiply(md, x, side)
+        error = np.abs(getattr(op, side)(x) - expected).max()
+        assert error <= 1e-12 * np.abs(expected).max(), (side, error)
 
 
 def test_memory_gap(small_tandem_bench):

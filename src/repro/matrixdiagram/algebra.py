@@ -121,4 +121,4 @@ def add(a: MatrixDiagram, b: MatrixDiagram) -> MatrixDiagram:
         new_root_index,
         level_state_labels=a.all_level_labels(),
     )
-    return result.trimmed().quasi_reduce()
+    return result.quasi_reduce()

@@ -8,7 +8,7 @@ quasi-reduction) no two equal nodes on any level.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import MatrixDiagramError
 from repro.matrixdiagram.node import MDNode
@@ -187,15 +187,7 @@ class MatrixDiagram:
 
     def reachable_nodes(self) -> List[int]:
         """Node indices reachable from the root (the root included)."""
-        seen = {self._root}
-        frontier = [self._root]
-        while frontier:
-            index = frontier.pop()
-            for child in self._nodes[index].children():
-                if child not in seen and child in self._nodes:
-                    seen.add(child)
-                    frontier.append(child)
-        return sorted(seen)
+        return sorted(_reachable(self._nodes, self._root))
 
     # ------------------------------------------------------------------
     # quasi-reduction
@@ -224,23 +216,13 @@ class MatrixDiagram:
                 else:
                     mapping[index] = survivor
         root = mapping.get(self._root, self._root)
-        reduced = MatrixDiagram(
-            self._level_sizes,
-            new_nodes,
-            root,
-            level_state_labels=self._labels,
-        )
-        return reduced.trimmed()
-
-    def trimmed(self) -> "MatrixDiagram":
-        """A copy with nodes unreachable from the root removed."""
-        reachable = set(self.reachable_nodes())
-        if len(reachable) == len(self._nodes):
-            return self
+        # A merge can cancel a parent's formal sum to zero (``A + (-A)``)
+        # and orphan its children, which validation would reject.
+        reachable = _reachable(new_nodes, root)
         return MatrixDiagram(
             self._level_sizes,
-            {i: n for i, n in self._nodes.items() if i in reachable},
-            self._root,
+            {i: n for i, n in new_nodes.items() if i in reachable},
+            root,
             level_state_labels=self._labels,
         )
 
@@ -288,3 +270,16 @@ class MatrixDiagram:
             f"MatrixDiagram(levels={self.num_levels}, "
             f"level_sizes={self._level_sizes}, nodes_per_level={per_level})"
         )
+
+
+def _reachable(nodes: Mapping[int, MDNode], root: int) -> Set[int]:
+    """Indices in ``nodes`` reachable from ``root`` (the root included)."""
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        index = frontier.pop()
+        for child in nodes[index].children():
+            if child not in seen and child in nodes:
+                seen.add(child)
+                frontier.append(child)
+    return seen

@@ -1,15 +1,30 @@
 """Vector products with MD-represented matrices, without flattening.
 
 This is what makes MDs useful for numerical solution: the iteration vector
-is the only object of global size; the matrix stays symbolic.  The product
-recurses over MD paths, accumulating the product of path coefficients, and
-vectorizes over the terminal level where the real-valued blocks live.
+is the only object of global size; the matrix stays symbolic.
+
+An MD over levels ``1..L`` is a sum of Kronecker products, one per
+terminal node ``t``: ``R = sum_t A_t (x) B_t``.  ``B_t`` is ``t``'s own
+``|S_L| x |S_L|`` matrix.  ``A_t`` is a sparse matrix over the upper
+levels' potential space ``S_1 x .. x S_{L-1}``; its entry at (row prefix,
+column prefix) sums the coefficient products of every upper-level path
+from the root to ``t``.  :class:`MDOperator` builds the terms once, in one
+pass over the upper levels' entries, and keeps both factors as CSR.  On
+the 2-D view ``X = x.reshape(-1, |S_L|)`` a product is then two sparse
+multiplies per terminal node, ``x R = sum_t A_t^T (X B_t)`` and
+``R x = sum_t A_t (X B_t^T)``: the last-axis reshape-and-multiply of
+:func:`repro.kronecker.ops._apply_axis`.
+
+Memory: ``sum_t nnz(A_t)`` is at most the number of upper-level paths
+(one record per path before duplicates are summed), which is the number
+of terminal blocks a path-by-path product would visit.  The old
+path-by-path product is the test oracle, ``tests/md_multiply_oracle.py``.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Optional
+from collections import defaultdict
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -17,95 +32,81 @@ from scipy import sparse
 from repro.errors import MatrixDiagramError, SolverError
 from repro.markov.transient import _start_vector, _uniformization_series
 from repro.matrixdiagram.md import MatrixDiagram
+from repro.matrixdiagram.operations import flatten_node
 from repro.util.numeric import JACOBI_RELAXATION
 
+Term = Tuple[sparse.csr_matrix, sparse.csr_matrix]
 
-def _terminal_matrix(
-    md: MatrixDiagram, index: int, cache: Dict[int, sparse.csr_matrix]
-) -> sparse.csr_matrix:
-    cached = cache.get(index)
-    if cached is not None:
-        return cached
-    node = md.node(index)
-    size = md.level_sizes[-1]
-    rows, cols, data = [], [], []
-    for r, c, value in node.entries():
-        rows.append(r)
-        cols.append(c)
-        data.append(value)
-    matrix = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(size, size)
-    ).tocsr()
-    cache[index] = matrix
-    return matrix
+
+def _kronecker_terms(md: MatrixDiagram) -> List[Term]:
+    """``[(A_t, B_t)]`` over the terminal nodes ``t`` some path reaches,
+    with ``R = sum_t kron(A_t, B_t)``."""
+    # Per node of the current level: one (row prefix, column prefix,
+    # coefficient product) record per upper-level path from the root.
+    origin = np.zeros(1, dtype=np.int64)
+    paths = {md.root_index: (origin, origin, np.ones(1))}
+    for level in range(1, md.num_levels):
+        size = md.level_size(level)
+        reached: Dict[int, list] = defaultdict(list)
+        for index, (rows, cols, values) in paths.items():
+            arcs: Dict[int, list] = defaultdict(list)
+            for r, c, formal_sum in md.node(index).entries():
+                for child, coefficient in formal_sum.items():
+                    arcs[child].append((r, c, coefficient))
+            for child, triples in arcs.items():
+                r, c, coefficient = map(np.array, zip(*triples))
+                reached[child].append((
+                    (rows[:, None] * size + r).ravel(),
+                    (cols[:, None] * size + c).ravel(),
+                    (values[:, None] * coefficient).ravel(),
+                ))
+        paths = {
+            child: tuple(np.concatenate(column) for column in zip(*pieces))
+            for child, pieces in reached.items()
+        }
+    prefix_size = md.potential_size() // md.level_sizes[-1]
+    return [
+        (
+            sparse.csr_matrix(
+                (values, (rows, cols)), shape=(prefix_size, prefix_size)
+            ),
+            flatten_node(md, index),
+        )
+        for index, (rows, cols, values) in sorted(paths.items())
+    ]
 
 
 def md_vector_multiply(
-    md: MatrixDiagram,
-    vector: np.ndarray,
-    side: str = "left",
-    terminal_cache: Optional[Dict[int, sparse.csr_matrix]] = None,
+    md: MatrixDiagram, vector: np.ndarray, side: str = "left"
 ) -> np.ndarray:
     """``vector @ R`` (``side='left'``) or ``R @ vector`` (``side='right'``)
     where ``R`` is the matrix the MD represents over the potential space.
 
-    The vector must have length ``md.potential_size()``.  Memory use is
-    O(vector) plus the (small) terminal-block cache; the flat matrix is
-    never materialized.
+    The vector must have length ``md.potential_size()``.  This builds an
+    :class:`MDOperator` for one product; keep the operator to multiply
+    more than once.  The flat matrix is never materialized.
     """
     if side not in ("left", "right"):
         raise MatrixDiagramError(f"side must be 'left' or 'right', not {side!r}")
-    x = np.asarray(vector, dtype=float)
-    n = md.potential_size()
-    if x.shape != (n,):
-        raise MatrixDiagramError(
-            f"vector has shape {x.shape}, expected ({n},)"
-        )
-    y = np.zeros(n)
-    sizes = md.level_sizes
-    strides = [math.prod(sizes[level:]) for level in range(len(sizes) + 1)]
-    cache: Dict[int, sparse.csr_matrix] = (
-        {} if terminal_cache is None else terminal_cache
-    )
-    terminal_size = sizes[-1]
-
-    def recurse(index: int, row_offset: int, col_offset: int, scale: float) -> None:
-        node = md.node(index)
-        if node.terminal:
-            block = _terminal_matrix(md, index, cache)
-            if side == "left":
-                segment = x[row_offset : row_offset + terminal_size]
-                y[col_offset : col_offset + terminal_size] += scale * (
-                    segment @ block
-                )
-            else:
-                segment = x[col_offset : col_offset + terminal_size]
-                y[row_offset : row_offset + terminal_size] += scale * (
-                    block @ segment
-                )
-            return
-        stride = strides[node.level]
-        for r, c, formal_sum in node.entries():
-            new_row = row_offset + r * stride
-            new_col = col_offset + c * stride
-            for child, coefficient in formal_sum.items():
-                recurse(child, new_row, new_col, scale * coefficient)
-
-    recurse(md.root_index, 0, 0, 1.0)
-    return y
+    operator = MDOperator(md)
+    return operator.left(vector) if side == "left" else operator.right(vector)
 
 
 class MDOperator:
-    """A reusable multiply context for one MD (caches terminal blocks).
+    """One MD compiled for repeated products: ``R = sum_t A_t (x) B_t``,
+    one term per terminal node (see the module docstring).
 
     Also provides derived quantities iterative solvers need: row sums
-    (exit rates when the MD represents ``R``) and a uniformized-step
-    operator.
+    (exit rates when the MD represents ``R``), the diagonal and a
+    uniformized-step operator.
     """
 
     def __init__(self, md: MatrixDiagram) -> None:
         self.md = md
-        self._terminal_cache: Dict[int, sparse.csr_matrix] = {}
+        self._terms = _kronecker_terms(md)
+        # ``x R`` multiplies by the transposed factors; ``.T`` of a CSR
+        # matrix is a view, so both sides share one copy of the terms.
+        self._transposed_terms = [(a.T, b.T) for a, b in self._terms]
         self._row_sums: Optional[np.ndarray] = None
 
     @property
@@ -113,54 +114,55 @@ class MDOperator:
         """Dimension of the potential space."""
         return self.md.potential_size()
 
-    def left(self, vector: np.ndarray) -> np.ndarray:
-        """``vector @ R``."""
-        return md_vector_multiply(
-            self.md, vector, side="left", terminal_cache=self._terminal_cache
+    def _product(self, vector: np.ndarray, terms: List[Term]) -> np.ndarray:
+        """``sum_t a_t X b_t^T`` over ``terms``, on the 2-D view ``X``."""
+        x = np.asarray(vector, dtype=float)
+        if x.shape != (self.size,):
+            raise MatrixDiagramError(
+                f"vector has shape {x.shape}, expected ({self.size},)"
+            )
+        # Sparse-times-dense only: ``b @ X^T`` rather than ``X @ b^T``,
+        # which scipy runs on transposed copies.  ``X^T`` is copied to C
+        # order once here, not once per term inside scipy.
+        columns = np.ascontiguousarray(
+            x.reshape(-1, self.md.level_sizes[-1]).T
         )
+        y = np.zeros(columns.shape[::-1])
+        for a, b in terms:
+            y += a @ (b @ columns).T
+        return y.ravel()
+
+    def left(self, vector: np.ndarray) -> np.ndarray:
+        """``vector @ R``: ``sum_t A_t^T (X B_t)``."""
+        return self._product(vector, self._transposed_terms)
 
     def right(self, vector: np.ndarray) -> np.ndarray:
-        """``R @ vector``."""
-        return md_vector_multiply(
-            self.md, vector, side="right", terminal_cache=self._terminal_cache
-        )
+        """``R @ vector``: ``sum_t A_t (X B_t^T)``."""
+        return self._product(vector, self._terms)
+
+    def _kron_sum(
+        self, reduce: Callable[[sparse.csr_matrix], np.ndarray]
+    ) -> np.ndarray:
+        """``sum_t kron(reduce(A_t), reduce(B_t))``."""
+        total = np.zeros(self.size)
+        for a, b in self._terms:
+            total += np.kron(reduce(a), reduce(b))
+        return total
 
     def row_sums(self) -> np.ndarray:
-        """``R(i, S)`` for every potential state ``i`` (cached)."""
+        """``R(i, S)`` for every potential state ``i`` (cached):
+        ``sum_t kron(A_t 1, B_t 1)``."""
         if self._row_sums is None:
-            self._row_sums = self.right(np.ones(self.size))
+            self._row_sums = self._kron_sum(
+                lambda matrix: np.asarray(matrix.sum(axis=1)).ravel()
+            )
         return self._row_sums
 
     def diagonal(self) -> np.ndarray:
-        """``R(i, i)`` for every potential state, extracted symbolically.
-
-        A global state lies on the diagonal iff every level's entry is
-        diagonal, so the diagonal vector is assembled by recursing only
-        through diagonal entries — cost proportional to the MD's diagonal
-        support, not the potential space.
-        """
-        md = self.md
-        sizes = md.level_sizes
-        strides = [
-            int(np.prod(sizes[level:])) for level in range(len(sizes) + 1)
-        ]
-        diagonal = np.zeros(self.size)
-
-        def recurse(index: int, offset: int, scale: float) -> None:
-            node = md.node(index)
-            stride = strides[node.level]
-            for r, c, entry in node.entries():
-                if r != c:
-                    continue
-                position = offset + r * stride
-                if node.terminal:
-                    diagonal[position] += scale * entry
-                else:
-                    for child, coefficient in entry.items():
-                        recurse(child, position, scale * coefficient)
-
-        recurse(md.root_index, 0, 1.0)
-        return diagonal
+        """``R(i, i)`` for every potential state: ``sum_t kron(diag A_t,
+        diag B_t)``, since a global state is on the diagonal iff its
+        upper-level prefix and its terminal substate both are."""
+        return self._kron_sum(lambda matrix: matrix.diagonal())
 
     def steady_state_jacobi(
         self,

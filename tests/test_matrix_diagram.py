@@ -8,10 +8,13 @@ from repro.matrixdiagram import (
     FormalSum,
     MatrixDiagram,
     MDNode,
+    canonicalize,
     flatten,
+    md_add,
     md_from_flat_matrix,
     md_from_kronecker_terms,
     md_identity,
+    md_scale,
 )
 
 
@@ -206,3 +209,33 @@ class TestBuilders:
         rebuilt = md.with_nodes({2: replacement})
         assert rebuilt.node(2).entry(1, 1) == 9.0
         assert md.node(2).entry(1, 1) == 0.0  # original untouched
+
+
+class TestQuasiReductionCancellation:
+    """Merging duplicates can cancel a parent's formal sum to zero; the
+    children it orphans are dropped, not rejected by validation."""
+
+    def test_adding_the_negation_gives_the_zero_md(self):
+        a = md_from_kronecker_terms(
+            [(1.0, [np.array([[0, 1.0], [2.0, 0]]), np.eye(2)])], (2, 2)
+        )
+        zero = md_add(a, md_scale(a, -1.0))
+        assert zero.level_sizes == (2, 2)
+        assert zero.num_nodes == 1
+        assert flatten(zero).nnz == 0
+
+    def test_canonicalize_drops_a_cancelled_branch(self):
+        # R2 = -R1 becomes R1 once scale-normalized, so the root's
+        # 1*R1 + 1*R2 cancels and nothing below the root is reachable.
+        nodes = {
+            0: MDNode(
+                1, {(0, 0): FormalSum({1: 1.0, 2: 1.0})}, terminal=False
+            ),
+            1: MDNode(2, {(0, 0): FormalSum({3: 1.0})}, terminal=False),
+            2: MDNode(2, {(0, 0): FormalSum({3: -1.0})}, terminal=False),
+            3: MDNode(3, {}, terminal=True),
+        }
+        md = MatrixDiagram((1, 2, 1), nodes, root=0)
+        canonical = canonicalize(md)
+        assert canonical.node_indices() == (0,)
+        assert flatten(canonical).nnz == 0
