@@ -178,12 +178,7 @@ def _lump_node(
 
     def accumulate(key: Tuple[int, int], entry) -> None:
         existing = new_entries.get(key)
-        if existing is None:
-            new_entries[key] = entry
-        elif node.terminal:
-            new_entries[key] = existing + entry
-        else:
-            new_entries[key] = existing + entry
+        new_entries[key] = entry if existing is None else existing + entry
 
     sizes = {dense: len(block) for dense, block in members.items()}
     for r, c, entry in node.entries():

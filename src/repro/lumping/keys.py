@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -35,7 +35,7 @@ from scipy import sparse
 from repro.lumping.refinement import SplitterFactory
 from repro.matrixdiagram.md import MatrixDiagram
 from repro.matrixdiagram.node import MDNode
-from repro.matrixdiagram.operations import flatten_node
+from repro.matrixdiagram.operations import flatten_entry
 from repro.util.numeric import quantize
 
 # ----------------------------------------------------------------------
@@ -253,33 +253,18 @@ def _matrix_signature(matrix: sparse.spmatrix) -> Tuple:
     )
 
 
-def _entry_matrix(
-    md: MatrixDiagram,
-    entry,
-    terminal: bool,
-    cache: Dict[int, sparse.csr_matrix],
-    dim: int,
-) -> sparse.csr_matrix:
-    if terminal:
-        return sparse.csr_matrix(([float(entry)], ([0], [0])), shape=(1, 1))
-    total = sparse.csr_matrix((dim, dim))
-    for child, coefficient in entry.items():
-        total = total + coefficient * flatten_node(md, child, cache)
-    return sparse.csr_matrix(total)
-
-
 def md_node_matrix_splitter(
     md: MatrixDiagram,
     node: MDNode,
     kind: str,
-    flat_cache: Optional[Dict[int, sparse.csr_matrix]] = None,
+    flat_cache: Dict[int, sparse.csr_matrix],
 ) -> SplitterFactory:
     """``K(R_n2, s2, C2) = bar(R)_n2(s2, C2)`` (ordinary) or
     ``bar(R)_n2(C2, s2)`` (exact) — the *represented matrix* of the row
     or column sum.  Sufficient and necessary on the node level, but
-    requires flattening children (the trade-off of Section 4)."""
-    if flat_cache is None:
-        flat_cache = {}
+    requires flattening children (the trade-off of Section 4);
+    ``flat_cache`` keeps each flattened child for the other nodes of the
+    level."""
     by_state: Dict[int, List[Tuple[int, object]]] = {}
     for row, col, entry in node.entries():
         state, other = (row, col) if kind == "ordinary" else (col, row)
@@ -293,9 +278,7 @@ def md_node_matrix_splitter(
             total = sparse.csr_matrix((dim, dim))
             for other, entry in by_state.get(state, ()):
                 if other in member_set:
-                    total = total + _entry_matrix(
-                        md, entry, node.terminal, flat_cache, dim
-                    )
+                    total = total + flatten_entry(md, node, entry, flat_cache)
             return _matrix_signature(total)
 
         return key, None

@@ -107,6 +107,10 @@ class MDModel:
                 self.reachable[0] < 0 or self.reachable[-1] >= n
             ):
                 raise ModelError("reachable indices outside potential space")
+            repeated = np.flatnonzero(np.diff(self.reachable) == 0)
+            if repeated.size:
+                index = self.reachable[repeated[0]]
+                raise ModelError(f"reachable index {index} is listed twice")
 
     # ------------------------------------------------------------------
     # global vectors

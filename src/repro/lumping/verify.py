@@ -8,7 +8,7 @@ ground truth the algorithms are checked against.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -17,7 +17,7 @@ from repro.errors import LumpingError
 from repro.lumping.compositional import project_indices
 from repro.lumping.md_model import MDModel
 from repro.matrixdiagram.md import MatrixDiagram
-from repro.matrixdiagram.operations import flatten_node
+from repro.matrixdiagram.operations import flatten, flatten_entry
 from repro.partitions import Partition
 
 
@@ -139,9 +139,10 @@ def check_local_exact(
     # Condition (4): equal full row sums R_n(s, S) per node.
     size = md.level_size(level)
     all_cols = tuple(range(size))
+    memo: Dict[int, sparse.csr_matrix] = {}
     for _index, node in sorted(md.nodes_at(level).items()):
         row_sums = [
-            _entry_to_matrix(md, node, node.row_sum_over(s, all_cols))
+            flatten_entry(md, node, node.row_sum_over(s, all_cols), memo)
             for s in range(size)
         ]
         for block in partition.blocks():
@@ -150,16 +151,6 @@ def check_local_exact(
                 if not _matrices_close(row_sums[state], first, rtol):
                     return False
     return True
-
-
-def _entry_to_matrix(md: MatrixDiagram, node, entry) -> sparse.csr_matrix:
-    if node.terminal:
-        return sparse.csr_matrix(([float(entry)], ([0], [0])), shape=(1, 1))
-    dim = math.prod(md.level_sizes[node.level :])
-    total = sparse.csr_matrix((dim, dim))
-    for child, coefficient in entry.items():
-        total = total + coefficient * flatten_node(md, child)
-    return sparse.csr_matrix(total)
 
 
 def _matrices_close(
@@ -187,6 +178,7 @@ def _check_local(
     if partition.n != size:
         raise LumpingError("partition size does not match the level")
     blocks = list(partition.blocks())
+    memo: Dict[int, sparse.csr_matrix] = {}
     for _index, node in sorted(md.nodes_at(level).items()):
         for block_cols in blocks:
             sums = []
@@ -195,7 +187,7 @@ def _check_local(
                     entry = node.col_sum_over(block_cols, state)
                 else:
                     entry = node.row_sum_over(state, block_cols)
-                sums.append(_entry_to_matrix(md, node, entry))
+                sums.append(flatten_entry(md, node, entry, memo))
             for block in blocks:
                 first = sums[block[0]]
                 for state in block[1:]:
@@ -220,8 +212,6 @@ def verify_compositional_result(
         raise LumpingError(
             f"potential space too large to verify flatly ({n} states)"
         )
-    from repro.matrixdiagram.operations import flatten
-
     # Unrestricted copy: the flat checks run over the full potential space.
     unrestricted = MDModel(
         original.md,

@@ -25,13 +25,12 @@ def random_ctmc(
     density: float = 0.3,
     rate_scale: float = 2.0,
     seed: Optional[int] = None,
-    ensure_irreducible: bool = True,
 ) -> CTMC:
     """A random CTMC with roughly ``density`` fraction of off-diagonal
     entries present, rates uniform in ``(0, rate_scale]``.
 
-    With ``ensure_irreducible`` a Hamiltonian cycle of small rates is added
-    so the chain is strongly connected (solvers require irreducibility).
+    A Hamiltonian cycle of small rates is added so the chain is strongly
+    connected (solvers require irreducibility).
     """
     rng = np.random.default_rng(seed)
     triples: List[Tuple[int, int, float]] = []
@@ -39,7 +38,7 @@ def random_ctmc(
         for j in range(num_states):
             if i != j and rng.random() < density:
                 triples.append((i, j, float(rng.uniform(0.05, rate_scale))))
-    if ensure_irreducible and num_states > 1:
+    if num_states > 1:
         for i in range(num_states):
             triples.append((i, (i + 1) % num_states, 0.01))
     return CTMC.from_transitions(num_states, triples)
@@ -84,7 +83,6 @@ def random_ordinarily_lumpable(
         num_blocks,
         density=0.5,
         seed=None if seed is None else seed + 2,
-        ensure_irreducible=True,
     )
     blocks = list(partition.blocks())
     triples: List[Tuple[int, int, float]] = []
@@ -127,7 +125,6 @@ def random_exactly_lumpable(
         num_blocks,
         density=0.5,
         seed=None if seed is None else seed + 2,
-        ensure_irreducible=True,
     )
     blocks = list(partition.blocks())
     triples: List[Tuple[int, int, float]] = []

@@ -301,10 +301,11 @@ def steady_state_power(
     """Power iteration ``pi <- pi P`` on the uniformized DTMC."""
     faults.check("solver.power")
     _check_irreducible(ctmc, "power")
-    p = ctmc.embedded_dtmc()
+    # ``pt @ pi`` is ``pi @ p`` without scipy transposing ``p`` per call.
+    pt = ctmc.embedded_dtmc().T
 
     def sweep(pi: np.ndarray, iteration: int) -> Tuple[np.ndarray, float]:
-        new_pi = pi @ p
+        new_pi = pt @ pi
         return new_pi, float(np.abs(new_pi - pi).max())
 
     pi = _initial_vector(ctmc.num_states, x0)
@@ -339,12 +340,12 @@ def steady_state_jacobi(
         # An absorbing state in an irreducible chain means n == 1.
         pi = np.ones(n) / n
         return SteadyStateResult(pi, 0, _residual(pi, q), "jacobi")
-    off = sparse.csr_matrix(q - sparse.diags(diag))
+    off_t = sparse.csr_matrix(q - sparse.diags(diag)).T
     inv_diag = -1.0 / diag
     w = JACOBI_RELAXATION
 
     def sweep(pi: np.ndarray, iteration: int) -> Tuple[np.ndarray, float]:
-        step = (pi @ off) * inv_diag
+        step = (off_t @ pi) * inv_diag
         total = step.sum()
         if total <= 0:
             raise SolverError(

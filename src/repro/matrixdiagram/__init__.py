@@ -4,9 +4,10 @@ An MD (Ciardo & Miner 1999; Section 3 of the paper) is a connected DAG with
 a unique root whose nodes are matrices.  A node at level ``i < L`` has
 entries that are *formal sums* ``sum_k c_k * R_{n_k}`` over nodes of level
 ``i + 1``; a node at the terminal level ``L`` has real entries.  The matrix
-an MD represents is obtained by recursively substituting each child
-reference with the (recursively expanded) child matrix — the "bottom-up
-merge" of the paper.
+an MD represents substitutes each child's matrix into its parents' formal
+sums (the paper's "bottom-up merge").  Resolved top-down, that is one
+Kronecker term per terminal node, ``R = sum_t A_t (x) B_t``: ``flatten``
+sums the terms and ``MDOperator`` multiplies by them.
 """
 
 from repro.matrixdiagram.formal_sum import FormalSum

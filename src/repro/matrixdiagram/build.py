@@ -59,20 +59,19 @@ class MDBuilder:
 
     ``add_node`` interns nodes by structural key, so the finished MD is
     reduced by construction.  Node indices are allocated sequentially
-    starting at ``first_index``.
+    from 1.
     """
 
     def __init__(
         self,
         level_sizes: Sequence[int],
         level_state_labels: Optional[Sequence[Sequence[object]]] = None,
-        first_index: int = 1,
     ) -> None:
         self.level_sizes = tuple(int(s) for s in level_sizes)
         self.level_state_labels = level_state_labels
         self._nodes: Dict[int, MDNode] = {}
         self._intern: Dict[Tuple, int] = {}
-        self._next_index = first_index
+        self._next_index = 1
 
     @property
     def num_levels(self) -> int:

@@ -4,14 +4,15 @@ This is what makes MDs useful for numerical solution: the iteration vector
 is the only object of global size; the matrix stays symbolic.
 
 An MD over levels ``1..L`` is a sum of Kronecker products, one per
-terminal node ``t``: ``R = sum_t A_t (x) B_t``.  ``B_t`` is ``t``'s own
-``|S_L| x |S_L|`` matrix.  ``A_t`` is a sparse matrix over the upper
-levels' potential space ``S_1 x .. x S_{L-1}``; its entry at (row prefix,
-column prefix) sums the coefficient products of every upper-level path
-from the root to ``t``.  :class:`MDOperator` builds the terms once, in one
-pass over the upper levels' entries, and keeps both factors as CSR.  On
-the 2-D view ``X = x.reshape(-1, |S_L|)`` a product is then two sparse
-multiplies per terminal node, ``x R = sum_t A_t^T (X B_t)`` and
+terminal node ``t``: ``R = sum_t A_t (x) B_t``, with ``B_t`` ``t``'s own
+``|S_L| x |S_L|`` matrix and ``A_t`` a sparse matrix over the upper
+levels' potential space ``S_1 x .. x S_{L-1}``.  :class:`MDOperator`
+compiles the root's terms once with
+:func:`repro.matrixdiagram.operations._kronecker_terms`, the function
+:func:`~repro.matrixdiagram.operations.flatten` sums, so a product and a
+flatten read an MD the same way.  On the 2-D view
+``X = x.reshape(-1, |S_L|)`` a product is two sparse multiplies per
+terminal node, ``x R = sum_t A_t^T (X B_t)`` and
 ``R x = sum_t A_t (X B_t^T)``: the last-axis reshape-and-multiply of
 :func:`repro.kronecker.ops._apply_axis`.
 
@@ -23,8 +24,7 @@ path-by-path product is the test oracle, ``tests/md_multiply_oracle.py``.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 from scipy import sparse
@@ -32,48 +32,8 @@ from scipy import sparse
 from repro.errors import MatrixDiagramError, SolverError
 from repro.markov.transient import _start_vector, _uniformization_series
 from repro.matrixdiagram.md import MatrixDiagram
-from repro.matrixdiagram.operations import flatten_node
+from repro.matrixdiagram.operations import Term, _kronecker_terms
 from repro.util.numeric import JACOBI_RELAXATION
-
-Term = Tuple[sparse.csr_matrix, sparse.csr_matrix]
-
-
-def _kronecker_terms(md: MatrixDiagram) -> List[Term]:
-    """``[(A_t, B_t)]`` over the terminal nodes ``t`` some path reaches,
-    with ``R = sum_t kron(A_t, B_t)``."""
-    # Per node of the current level: one (row prefix, column prefix,
-    # coefficient product) record per upper-level path from the root.
-    origin = np.zeros(1, dtype=np.int64)
-    paths = {md.root_index: (origin, origin, np.ones(1))}
-    for level in range(1, md.num_levels):
-        size = md.level_size(level)
-        reached: Dict[int, list] = defaultdict(list)
-        for index, (rows, cols, values) in paths.items():
-            arcs: Dict[int, list] = defaultdict(list)
-            for r, c, formal_sum in md.node(index).entries():
-                for child, coefficient in formal_sum.items():
-                    arcs[child].append((r, c, coefficient))
-            for child, triples in arcs.items():
-                r, c, coefficient = map(np.array, zip(*triples))
-                reached[child].append((
-                    (rows[:, None] * size + r).ravel(),
-                    (cols[:, None] * size + c).ravel(),
-                    (values[:, None] * coefficient).ravel(),
-                ))
-        paths = {
-            child: tuple(np.concatenate(column) for column in zip(*pieces))
-            for child, pieces in reached.items()
-        }
-    prefix_size = md.potential_size() // md.level_sizes[-1]
-    return [
-        (
-            sparse.csr_matrix(
-                (values, (rows, cols)), shape=(prefix_size, prefix_size)
-            ),
-            flatten_node(md, index),
-        )
-        for index, (rows, cols, values) in sorted(paths.items())
-    ]
 
 
 def md_vector_multiply(
@@ -103,7 +63,7 @@ class MDOperator:
 
     def __init__(self, md: MatrixDiagram) -> None:
         self.md = md
-        self._terms = _kronecker_terms(md)
+        self._terms = _kronecker_terms(md, md.root_index)
         # ``x R`` multiplies by the transposed factors; ``.T`` of a CSR
         # matrix is a view, so both sides share one copy of the terms.
         self._transposed_terms = [(a.T, b.T) for a, b in self._terms]

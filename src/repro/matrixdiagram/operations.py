@@ -2,9 +2,12 @@
 
 Implements the machinery of the paper's Section 3:
 
-* :func:`flatten_node` / :func:`flatten` — resolve formal sums by scalar
-  multiplication and matrix addition, bottom-up ("each MD node R_n results
-  in a real-valued matrix bar(R)_n"),
+* :func:`flatten_node` / :func:`flatten` — the real matrix ``bar(R)_n``
+  a node represents ("each MD node R_n results in a real-valued matrix
+  bar(R)_n"), as ``sum_t kron(A_t, B_t)`` over the Kronecker terms of
+  :func:`_kronecker_terms`, one per terminal node below the node.  The
+  same terms back :class:`repro.matrixdiagram.MDOperator`'s products;
+  :func:`flatten_entry` gives the matrix of one node entry,
 * :func:`merge_bottom_up` / :func:`merge_top_down` — merge adjacent levels
   so an arbitrary level of interest becomes level 2 of a 3-level MD
   (:func:`to_three_level`), including the paper's artificial level-0 /
@@ -13,13 +16,14 @@ Implements the machinery of the paper's Section 3:
   matrices).
 
 The compositional lumping algorithm itself never merges levels (the paper
-stresses the merging argument is purely notational); these operations exist
-for verification, tests and the concrete-matrix ablation.
+stresses the merging argument is purely notational); the merges exist for
+verification and tests.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,75 +32,104 @@ from scipy import sparse
 from repro.errors import MatrixDiagramError
 from repro.matrixdiagram.formal_sum import FormalSum
 from repro.matrixdiagram.md import MatrixDiagram
-from repro.matrixdiagram.node import MDNode
+from repro.matrixdiagram.node import Entry, MDNode
 
 
-def flatten_node(
-    md: MatrixDiagram,
-    index: int,
-    cache: Optional[Dict[int, sparse.csr_matrix]] = None,
-) -> sparse.csr_matrix:
-    """The real matrix ``bar(R)_n`` represented by node ``index``.
+Term = Tuple[sparse.csr_matrix, sparse.csr_matrix]
+
+
+def _terminal_matrix(node: MDNode, size: int) -> sparse.csr_matrix:
+    """A terminal node's ``size x size`` matrix, from one array of its
+    ``(row, col, value)`` entries."""
+    rows, cols, values = np.array(list(node.entries())).reshape(-1, 3).T
+    matrix = sparse.csr_matrix(
+        (values, (rows.astype(np.int64), cols.astype(np.int64))),
+        shape=(size, size),
+    )
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def _kronecker_terms(md: MatrixDiagram, index: int) -> List[Term]:
+    """``[(A_t, B_t)]`` over the terminal nodes ``t`` some path from node
+    ``index`` reaches, with ``bar(R)_index = sum_t kron(A_t, B_t)``.
+
+    ``B_t`` is ``t``'s own ``|S_L| x |S_L|`` matrix.  ``A_t`` spans the
+    potential space of the levels from ``index``'s level down to ``L-1``;
+    its entry at (row prefix, column prefix) sums the coefficient products
+    of every path from ``index`` to ``t``.  A terminal ``index`` is the one
+    term ``([[1]], B)``.
+    """
+    start = md.node(index).level
+    # Per node of the current level: one (row prefix, column prefix,
+    # coefficient product) record per path from ``index``.
+    origin = np.zeros(1, dtype=np.int64)
+    paths = {index: (origin, origin, np.ones(1))}
+    for level in range(start, md.num_levels):
+        size = md.level_size(level)
+        reached: Dict[int, list] = defaultdict(list)
+        for node_index, (rows, cols, values) in paths.items():
+            arcs: Dict[int, list] = defaultdict(list)
+            for r, c, formal_sum in md.node(node_index).entries():
+                for child, coefficient in formal_sum.items():
+                    arcs[child].append((r, c, coefficient))
+            for child, triples in arcs.items():
+                r, c, coefficient = map(np.array, zip(*triples))
+                reached[child].append((
+                    (rows[:, None] * size + r).ravel(),
+                    (cols[:, None] * size + c).ravel(),
+                    (values[:, None] * coefficient).ravel(),
+                ))
+        paths = {
+            child: tuple(np.concatenate(column) for column in zip(*pieces))
+            for child, pieces in reached.items()
+        }
+    sizes = md.level_sizes
+    prefix_size = math.prod(sizes[start - 1 : -1])
+    return [
+        (
+            sparse.csr_matrix(
+                (values, (rows, cols)), shape=(prefix_size, prefix_size)
+            ),
+            _terminal_matrix(md.node(terminal), sizes[-1]),
+        )
+        for terminal, (rows, cols, values) in sorted(paths.items())
+    ]
+
+
+def flatten_node(md: MatrixDiagram, index: int) -> sparse.csr_matrix:
+    """The real matrix ``bar(R)_n`` represented by node ``index``:
+    ``sum_t kron(A_t, B_t)`` over the node's Kronecker terms.
 
     The matrix is square of dimension ``|S_i| * .. * |S_L|`` where ``i`` is
     the node's level; rows/columns outside the node's support are zero.
-    ``cache`` memoizes shared children across calls.
     """
-    if cache is None:
-        cache = {}
+    dim = math.prod(md.level_sizes[md.node(index).level - 1 :])
+    total = sparse.csr_matrix((dim, dim))
+    for a, b in _kronecker_terms(md, index):
+        total = total + sparse.kron(a, b, format="csr")
+    total.eliminate_zeros()
+    return total
 
-    sizes = md.level_sizes
-    # A shared child is referenced from many parent entries; memoize its
-    # COO view so the CSR->COO conversion happens once per node, not
-    # once per reference (the conversion dominated flattening time).
-    coo_cache: Dict[int, sparse.coo_matrix] = {}
 
-    def recurse_coo(node_index: int) -> sparse.coo_matrix:
-        coo = coo_cache.get(node_index)
-        if coo is None:
-            coo = recurse(node_index).tocoo()
-            coo_cache[node_index] = coo
-        return coo
-
-    def recurse(node_index: int) -> sparse.csr_matrix:
-        cached = cache.get(node_index)
-        if cached is not None:
-            return cached
-        node = md.node(node_index)
-        dim = math.prod(sizes[node.level - 1 :])
-        stride = math.prod(sizes[node.level :])
-        rows: List[np.ndarray] = []
-        cols: List[np.ndarray] = []
-        data: List[np.ndarray] = []
-        if node.terminal:
-            for r, c, value in node.entries():
-                rows.append(np.array([r]))
-                cols.append(np.array([c]))
-                data.append(np.array([value]))
-        else:
-            for r, c, formal_sum in node.entries():
-                for child, coefficient in formal_sum.items():
-                    block = recurse_coo(child)
-                    if block.nnz == 0:
-                        continue
-                    rows.append(block.row + r * stride)
-                    cols.append(block.col + c * stride)
-                    data.append(block.data * coefficient)
-        if rows:
-            matrix = sparse.coo_matrix(
-                (
-                    np.concatenate(data),
-                    (np.concatenate(rows), np.concatenate(cols)),
-                ),
-                shape=(dim, dim),
-            ).tocsr()
-        else:
-            matrix = sparse.csr_matrix((dim, dim))
-        matrix.eliminate_zeros()
-        cache[node_index] = matrix
-        return matrix
-
-    return recurse(index)
+def flatten_entry(
+    md: MatrixDiagram,
+    node: MDNode,
+    entry: Entry,
+    memo: Dict[int, sparse.csr_matrix],
+) -> sparse.csr_matrix:
+    """The matrix one entry of ``node`` stands for: ``[[v]]`` on the
+    terminal level, else ``sum_k c_k bar(R)_{n_k}``.  ``memo`` keeps each
+    flattened child for the caller's later entries."""
+    if node.terminal:
+        return sparse.csr_matrix(([float(entry)], ([0], [0])), shape=(1, 1))
+    dim = math.prod(md.level_sizes[node.level :])
+    total = sparse.csr_matrix((dim, dim))
+    for child, coefficient in entry.items():
+        if child not in memo:
+            memo[child] = flatten_node(md, child)
+        total = total + coefficient * memo[child]
+    return total
 
 
 def flatten(md: MatrixDiagram) -> sparse.csr_matrix:
@@ -160,13 +193,12 @@ def merge_bottom_up(md: MatrixDiagram, from_level: int) -> MatrixDiagram:
     merged_size = math.prod(sizes[from_level - 1 :])
     new_sizes = sizes[: from_level - 1] + (merged_size,)
 
-    cache: Dict[int, sparse.csr_matrix] = {}
     new_nodes: Dict[int, MDNode] = {}
     for level in range(1, from_level):
         for index, node in md.nodes_at(level).items():
             new_nodes[index] = node
     for index in md.nodes_at(from_level):
-        flat = flatten_node(md, index, cache).tocoo()
+        flat = flatten_node(md, index).tocoo()
         entries = {
             (int(r), int(c)): float(v)
             for r, c, v in zip(flat.row, flat.col, flat.data)

@@ -396,7 +396,7 @@ def _spectral_check(
     """
     name = "spectral-lumpability"
     try:
-        q = flat.generator_matrix().toarray()  # reprolint: disable=RL003 -- spot-check only runs when n <= spot_check_limit (128)
+        q = flat.generator_matrix().toarray()  # reprolint: disable=RL003 -- spot-check only runs when n <= DEFAULT_SPOT_CHECK_LIMIT (128)
         projection = lumping.projection_vector()
     except ReproError as exc:
         return CertificateCheck(
@@ -493,7 +493,6 @@ def _certify_lumped(
     method: str,
     kind: str,
     tol: Optional[float],
-    spot_check_limit: int,
 ) -> Certificate:
     """Flat-chain checks plus the lumping-aware spot-checks."""
     cert = certify_stationary(
@@ -505,10 +504,10 @@ def _certify_lumped(
     arr = np.asarray(pi, dtype=float).ravel()
     scaled = cert.tolerance * cert.rate_scale
     n = int(model.num_states())
-    if n > spot_check_limit:
+    if n > DEFAULT_SPOT_CHECK_LIMIT:
         detail = (
             f"skipped: {n} original states exceed spot-check limit "
-            f"{spot_check_limit}"
+            f"{DEFAULT_SPOT_CHECK_LIMIT}"
         )
         cert.checks.append(
             CertificateCheck("measure-consistency", True, detail=detail)
@@ -541,7 +540,6 @@ def certify(
     model: Optional["MDModel"] = None,
     *,
     tol: Optional[float] = None,
-    spot_check_limit: int = DEFAULT_SPOT_CHECK_LIMIT,
     lumped_ctmc: Optional[CTMC] = None,
 ) -> Certificate:
     """Certify a :class:`~repro.analysis.LumpedSolution` end to end.
@@ -566,7 +564,6 @@ def certify(
         method=solution.solve_method,
         kind=solution.lumping.kind,
         tol=tol,
-        spot_check_limit=spot_check_limit,
     )
 
 
@@ -616,7 +613,6 @@ def certify_with_escalation(
     original: Optional["MDModel"] = None,
     chain: Sequence[str] = (),
     report: Optional["RunReport"] = None,
-    spot_check_limit: int = DEFAULT_SPOT_CHECK_LIMIT,
 ) -> CertifiedSolve:
     """Certify ``pi``; on failure climb the escalation ladder.
 
@@ -649,7 +645,6 @@ def certify_with_escalation(
             method=label,
             kind=kind,
             tol=None,
-            spot_check_limit=spot_check_limit,
         )
         if report is not None:
             report.record_attempt(

@@ -51,8 +51,6 @@ DEFAULT_SOLVER_CHAIN: Tuple[str, ...] = (
 #: tolerance.
 ITERATIVE_METHODS = frozenset({"gauss-seidel", "jacobi", "power"})
 
-_ITERATIVE = ITERATIVE_METHODS
-
 
 @dataclass
 class SolveAttempt:
@@ -149,7 +147,7 @@ def solve_with_fallback(
 
     rounds: List[Tuple[Optional[float], Sequence[str]]] = [(tol, chain)]
     if relaxation_factor is not None and relaxation_factor > 1:
-        relaxed = [m for m in chain if m in _ITERATIVE]
+        relaxed = [m for m in chain if m in ITERATIVE_METHODS]
         if relaxed:
             rounds.append((tol * relaxation_factor, relaxed))
 
@@ -157,7 +155,7 @@ def solve_with_fallback(
         for method in round_chain:
             kwargs = dict(per_method.get(method, {}))
             warm = None
-            if method in _ITERATIVE:
+            if method in ITERATIVE_METHODS:
                 kwargs.setdefault("tol", round_tol)
                 if warm_start is not None:
                     warm = warm_start
@@ -173,7 +171,7 @@ def solve_with_fallback(
                         method=method,
                         succeeded=False,
                         seconds=time.perf_counter() - start,
-                        tolerance=round_tol if method in _ITERATIVE else None,
+                        tolerance=round_tol if method in ITERATIVE_METHODS else None,
                         iterations=exc.iterations,
                         residual=exc.residual,
                         error=str(exc),
@@ -188,7 +186,7 @@ def solve_with_fallback(
                     method=method,
                     succeeded=True,
                     seconds=time.perf_counter() - start,
-                    tolerance=round_tol if method in _ITERATIVE else None,
+                    tolerance=round_tol if method in ITERATIVE_METHODS else None,
                     iterations=result.iterations,
                     residual=result.residual,
                     warm_started=warm is not None,

@@ -321,13 +321,12 @@ class EventModel:
             descriptor.add_term(event.weight, factors)
         return descriptor
 
-    def to_md(self, labeled: bool = True) -> MatrixDiagram:
-        """The (reduced) MD of the model's rate matrix ``R``."""
-        labels = (
-            [level.labels for level in self.levels] if labeled else None
-        )
+    def to_md(self) -> MatrixDiagram:
+        """The (reduced) MD of the model's rate matrix ``R``, labeled with
+        the levels' substate labels."""
         return descriptor_to_md(
-            self.kronecker_descriptor(), level_state_labels=labels
+            self.kronecker_descriptor(),
+            level_state_labels=[level.labels for level in self.levels],
         )
 
     def restricted_events(

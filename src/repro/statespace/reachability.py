@@ -230,18 +230,13 @@ def reachable_bfs(
     return result
 
 
-def reachable_mdd(
-    model: EventModel,
-    manager: Optional[MDDManager] = None,
-    return_mdd: bool = False,
-):
+def reachable_mdd(model: EventModel, return_mdd: bool = False):
     """Symbolic fixpoint: ``S <- S U image(S, e)`` for all events until
     stable (event chaining).  Returns a :class:`ReachabilityResult`, plus
     the final MDD id and manager when ``return_mdd`` is true.
     """
     faults.check("reachability.mdd")
-    if manager is None:
-        manager = MDDManager(model.level_sizes())
+    manager = MDDManager(model.level_sizes())
     current = _chain(manager, model)
     states = sorted(manager.tuples(current))
     result = ReachabilityResult.from_states(model, states, "mdd")
@@ -431,11 +426,7 @@ def _saturate(manager: MDDManager, model: EventModel) -> int:
     return current
 
 
-def reachable_saturation(
-    model: EventModel,
-    manager: Optional[MDDManager] = None,
-    return_mdd: bool = False,
-):
+def reachable_saturation(model: EventModel, return_mdd: bool = False):
     """Saturation-style symbolic reachability (Ciardo et al., cited as the
     paper's route to very large state spaces).
 
@@ -448,8 +439,7 @@ def reachable_saturation(
     once per global iteration.
     """
     faults.check("reachability.mdd")
-    if manager is None:
-        manager = MDDManager(model.level_sizes())
+    manager = MDDManager(model.level_sizes())
     # Saturate bottom-up: after closing under deep (local) events, each
     # firing of a higher event is followed by re-closing everything below.
     current = _saturate(manager, model)

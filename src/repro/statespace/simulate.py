@@ -17,6 +17,9 @@ import numpy as np
 from repro.errors import StateSpaceError
 from repro.statespace.events import EventModel
 
+#: A trajectory that makes this many jumps before its horizon raises.
+MAX_JUMPS = 10_000_000
+
 
 @dataclass
 class Trajectory:
@@ -52,7 +55,6 @@ def simulate(
     horizon: float,
     initial: Optional[Sequence[int]] = None,
     seed: Optional[int] = None,
-    max_jumps: int = 10_000_000,
 ) -> Trajectory:
     """Simulate one trajectory up to time ``horizon``.
 
@@ -68,7 +70,7 @@ def simulate(
     times = [0.0]
     states = [state]
     now = 0.0
-    for _jump in range(max_jumps):
+    for _jump in range(MAX_JUMPS):
         transitions = model.successors(state)
         total_rate = sum(rate for _t, rate in transitions)
         if total_rate <= 0:
@@ -86,7 +88,7 @@ def simulate(
                 break
         times.append(now)
         states.append(state)
-    raise StateSpaceError(f"exceeded {max_jumps} jumps before the horizon")
+    raise StateSpaceError(f"exceeded {MAX_JUMPS} jumps before the horizon")
 
 
 def estimate_stationary(

@@ -239,9 +239,6 @@ class SweepEngine:
         report: Optional[RunReport] = None,
         queue_limit: Optional[int] = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
-        worker_id: Optional[str] = None,
-        sleep: Callable[[float], None] = time.sleep,
         progress: Optional[Callable[[PointOutcome], None]] = None,
     ) -> None:
         self.spec = normalize_sweep_spec(sweep_spec)
@@ -254,9 +251,7 @@ class SweepEngine:
         self.cache = ResultCache(os.path.join(store_root, "cache"))
         self.queue_limit = queue_limit
         self.lease_seconds = float(lease_seconds)
-        self.backoff_seconds = float(backoff_seconds)
-        self.worker_id = worker_id or f"sweep-{os.getpid()}"
-        self.sleep = sleep
+        self.worker_id = f"sweep-{os.getpid()}"
         self.progress = progress
         self.resume = resume
         if frontier_dir is None:
@@ -440,7 +435,7 @@ class SweepEngine:
             if view.lease_expired(float(self.store.clock())):
                 self.store.recover(report=self.report)
                 continue
-            self.sleep(CLAIM_POLL_SECONDS)
+            time.sleep(CLAIM_POLL_SECONDS)
 
     def _process_point(
         self,
@@ -571,7 +566,7 @@ class SweepEngine:
         ):
             if attempt_number > 1:
                 self.stats.retries += 1
-                self.sleep(self.backoff_seconds * (attempt_number - 1))
+                time.sleep(DEFAULT_BACKOFF_SECONDS * (attempt_number - 1))
                 # The first attempt runs on the lease claim just
                 # granted; later attempts renew it after backoff sleep.
                 renewed = self.store.renew(

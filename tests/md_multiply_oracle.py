@@ -1,15 +1,20 @@
-"""The MD-vector product that ``repro.matrixdiagram.MDOperator`` replaced.
+"""The MD-vector product and the MD flatten that the compiled
+Kronecker terms replaced.
 
-It walks every MD path from the root, carries the product of the path's
-coefficients, and makes one scipy call per terminal node it reaches.
-The library now compiles an MD once into one Kronecker term per terminal
-node and makes two sparse multiplies per term.
-``tests/test_md_operator.py`` holds the two to the same ``left``,
-``right``, ``row_sums`` and ``diagonal`` on random MDs.
+``md_vector_multiply`` walks every MD path from the root, carries the
+product of the path's coefficients, and makes one scipy call per terminal
+node it reaches.  ``flatten_node`` resolves the formal sums bottom-up, one
+recursive call per node, with a COO memo of shared children.  The library
+now compiles an MD (or any node of it) into one Kronecker term per
+terminal node: ``MDOperator`` makes two sparse multiplies per term, and
+``repro.matrixdiagram.flatten_node`` sums ``kron(A_t, B_t)``.
+``tests/test_md_operator.py`` holds the products to the same ``left``,
+``right``, ``row_sums`` and ``diagonal`` on random MDs, and every node's
+flatten to this one.
 """
 
 import math
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 from scipy import sparse
@@ -128,3 +133,71 @@ def diagonal(md: MatrixDiagram) -> np.ndarray:
 
     recurse(md.root_index, 0, 1.0)
     return diagonal
+
+
+def flatten_node(
+    md: MatrixDiagram,
+    index: int,
+    cache: Optional[Dict[int, sparse.csr_matrix]] = None,
+) -> sparse.csr_matrix:
+    """The real matrix ``bar(R)_n`` represented by node ``index``.
+
+    The matrix is square of dimension ``|S_i| * .. * |S_L|`` where ``i`` is
+    the node's level; rows/columns outside the node's support are zero.
+    ``cache`` memoizes shared children across calls.
+    """
+    if cache is None:
+        cache = {}
+
+    sizes = md.level_sizes
+    # A shared child is referenced from many parent entries; memoize its
+    # COO view so the CSR->COO conversion happens once per node, not
+    # once per reference (the conversion dominated flattening time).
+    coo_cache: Dict[int, sparse.coo_matrix] = {}
+
+    def recurse_coo(node_index: int) -> sparse.coo_matrix:
+        coo = coo_cache.get(node_index)
+        if coo is None:
+            coo = recurse(node_index).tocoo()
+            coo_cache[node_index] = coo
+        return coo
+
+    def recurse(node_index: int) -> sparse.csr_matrix:
+        cached = cache.get(node_index)
+        if cached is not None:
+            return cached
+        node = md.node(node_index)
+        dim = math.prod(sizes[node.level - 1 :])
+        stride = math.prod(sizes[node.level :])
+        rows: List[np.ndarray] = []
+        cols: List[np.ndarray] = []
+        data: List[np.ndarray] = []
+        if node.terminal:
+            for r, c, value in node.entries():
+                rows.append(np.array([r]))
+                cols.append(np.array([c]))
+                data.append(np.array([value]))
+        else:
+            for r, c, formal_sum in node.entries():
+                for child, coefficient in formal_sum.items():
+                    block = recurse_coo(child)
+                    if block.nnz == 0:
+                        continue
+                    rows.append(block.row + r * stride)
+                    cols.append(block.col + c * stride)
+                    data.append(block.data * coefficient)
+        if rows:
+            matrix = sparse.coo_matrix(
+                (
+                    np.concatenate(data),
+                    (np.concatenate(rows), np.concatenate(cols)),
+                ),
+                shape=(dim, dim),
+            ).tocsr()
+        else:
+            matrix = sparse.csr_matrix((dim, dim))
+        matrix.eliminate_zeros()
+        cache[node_index] = matrix
+        return matrix
+
+    return recurse(index)

@@ -12,6 +12,12 @@ agree to ``1e-12 * (1 + max|oracle|)`` on ``left``, ``right``,
   coefficients, empty terminal nodes and partial supports;
 * 1-, 2- and 4-level MDs from ``md_from_kronecker_terms``, where
   identity factors share suffixes across terms.
+
+``flatten_node`` sums the same terms, ``kron(A_t, B_t)`` from the node
+down, where the oracle's recursion resolved formal sums bottom-up.  On
+the random MDs every node's flatten must agree to
+``1e-14 * (1 + max|oracle|)``; on every model builder, as built and
+lumped both ways, every node's CSR arrays must be byte-identical.
 """
 
 import numpy as np
@@ -19,9 +25,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.matrixdiagram import MDOperator, md_from_kronecker_terms
+from repro.lumping import MDModel, compositional_lump
+from repro.matrixdiagram import MDOperator, flatten_node, md_from_kronecker_terms
+from repro.statespace import reachable_bfs
 from tests import md_multiply_oracle as oracle
 from tests.test_lumping_keys import COEFFICIENTS, three_level_mds
+from tests.test_reachability_codes import BUILDERS
 
 DIFFERENTIAL = settings(
     max_examples=100,
@@ -80,3 +89,53 @@ def test_three_level_mds_match_oracle(md, seed):
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_kronecker_mds_match_oracle(num_levels, data, seed):
     assert_matches_oracle(data.draw(kronecker_mds(num_levels)), seed)
+
+
+def node_flattens(md):
+    """``(index, new, oracle)`` flattens of every node of ``md``."""
+    cache = {}
+    for index in md.node_indices():
+        yield index, flatten_node(md, index), oracle.flatten_node(
+            md, index, cache
+        )
+
+
+def assert_flattens_match_oracle(md):
+    for index, new, old in node_flattens(md):
+        assert new.shape == old.shape, index
+        bound = 1e-14 * (1.0 + np.abs(old.data).max(initial=0.0))
+        error = np.abs((new - old).data).max(initial=0.0)
+        assert error <= bound, f"node {index}: {error:.3e} > {bound:.3e}"
+
+
+@DIFFERENTIAL
+@given(md=three_level_mds())
+def test_three_level_flattens_match_oracle(md):
+    assert_flattens_match_oracle(md)
+
+
+@pytest.mark.parametrize("num_levels", [1, 2, 4])
+@DIFFERENTIAL
+@given(data=st.data())
+def test_kronecker_flattens_match_oracle(num_levels, data):
+    assert_flattens_match_oracle(data.draw(kronecker_mds(num_levels)))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builder_flattens_are_byte_identical(name):
+    event_model = BUILDERS[name]()
+    model = MDModel(
+        event_model.to_md(),
+        reachable=reachable_bfs(event_model).potential_indices(),
+    )
+    for md in (
+        model.md,
+        compositional_lump(model, "ordinary").lumped.md,
+        compositional_lump(model, "exact").lumped.md,
+    ):
+        for index, new, old in node_flattens(md):
+            assert new.shape == old.shape, index
+            for part in ("indptr", "indices", "data"):
+                got, want = getattr(new, part), getattr(old, part)
+                assert got.tobytes() == want.tobytes(), (index, part)
+                assert got.dtype == want.dtype, (index, part)
