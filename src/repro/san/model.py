@@ -76,6 +76,12 @@ class Case:
 class Activity:
     """A timed activity: exponential rate + probabilistic cases.
 
+    Rate, probability and update functions must be deterministic in the
+    marking they are given.  The compiler calls them once per distinct
+    valuation of the places whose values they use; any other place holds
+    a placeholder whose every use is seen, but a test of a value's
+    identity or type (``is``, ``type``, ``isinstance``) is not.
+
     Parameters
     ----------
     name:

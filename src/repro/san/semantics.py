@@ -12,15 +12,15 @@ substate inside the event is what makes arbitrary joint rate dependence
 between the shared level and the submodel level *exactly* representable in
 Kronecker/MD form — no factorization assumption is needed.
 
-Each submodel compiles in one enumerate-and-record pass: a local search
-over its private markings fires each activity once per context, keeps the
-outcomes, and the event tables are built from those records once the
-level is complete and sorted.
+Each submodel compiles in one enumerate-and-record pass: the pass closes
+its level of private markings a frontier at a time, firing each activity
+once per context, keeps the outcomes, and the event tables are built from
+those records once the level is complete and sorted.
 
 * A shared activity fires in every (private marking, shared marking)
   pair, since its event depends on both.
 * A local activity fires only in the first and the last shared marking.
-  Its event is built from the first and checked against the last; a
+  Its event is built from the last and checked against the first; a
   disagreement means the ``shared=False`` declaration is wrong.
 
 Firing local activities in two contexts is exact.  Every transition of the
@@ -30,14 +30,25 @@ every shared marking, so the level is the one a search over all contexts
 finds.  A mis-declared activity that differs only in a middle shared marking
 escapes the check, as it always did; then only unreachable padding of the
 level can shrink, and the reachable state set is unchanged.
+
+A firing is not a call: an activity is evaluated once per distinct
+valuation of its *footprint*, the places whose values it has been seen to
+use, and its outcomes are applied with arrays to every firing with that
+valuation.  An evaluation sees a placeholder for each place outside the
+footprint; using one, or a target that sets or drops such a place, grows
+the footprint, clears the activity's memo and redoes the evaluation.  For
+deterministic functions this is exact: an evaluation that finished used
+no other value.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import add, mul
+from typing import Dict, List, NoReturn, Optional, Set, Tuple
 
 import numpy as np
 
@@ -47,6 +58,11 @@ from repro.san.model import Activity, Marking
 from repro.statespace.events import Event, EventModel, LevelEffect, LevelSpace
 
 _PROBABILITY_TOL = 1e-9
+#: Why a ``shared=False`` declaration is wrong.
+_MODIFIES = "modifies shared places"
+_DEPENDS = "its behaviour depends on shared places"
+#: Firings per batch of array operations; bounds the memory of a round.
+_CHUNK_ROWS = 1 << 18
 
 Label = Tuple[int, ...]
 #: Sync effect tables keyed by (shared source, shared target) index pair.
@@ -61,7 +77,10 @@ class CompiledModel:
     declared invariant; they can only originate from unreachable states of
     the over-approximated local spaces (a true invariant is closed under
     reachable transitions), and the count is surfaced so tests can assert
-    it stays plausible.  ``stats["firings"]`` counts activity evaluations.
+    it stays plausible.  ``stats["firings"]`` counts (activity, private
+    marking, shared marking) firings; ``stats["evaluations"]`` counts the
+    calls of the activities' functions those firings took, one per
+    distinct footprint valuation plus one per retry that grew a footprint.
     """
 
     join: Join
@@ -120,7 +139,7 @@ def _fire_activity(
             )
         total_probability += probability
         outcomes.append((target, rate * probability))
-    if outcomes and abs(total_probability - 1.0) > _PROBABILITY_TOL:
+    if abs(total_probability - 1.0) > _PROBABILITY_TOL:
         raise ModelError(
             f"activity {activity.name!r}: enabled case probabilities "
             f"sum to {total_probability}, expected 1"
@@ -151,19 +170,22 @@ def compile_join(
     # conditions of Definition 3 can then see the symmetry.
     events: List[Event] = []
     dropped = 0
-    stats = {"local_events": 0, "shared_events": 0, "firings": 0}
+    stats = dict.fromkeys(
+        ("local_events", "shared_events", "firings", "evaluations"), 0
+    )
     # A wrong shared=False declaration is raised once every level is
     # enumerated, so an error met while firing takes precedence over it.
     declaration_error: Optional[ModelError] = None
     for k, model in enumerate(join.submodels):
         level = k + 2
         submodel = _SubmodelPass(join, k, shared_states, max_local_states)
-        submodel.search()
+        submodel.close()
         if declaration_error is None:
             declaration_error = submodel.declaration_error()
         states, local_table, sync_tables = submodel.tables()
         dropped += submodel.dropped
         stats["firings"] += submodel.firings
+        stats["evaluations"] += submodel.evaluations
         level_spaces.append(LevelSpace(model.name, states))
         level_names.append(model.name)
         level_place_names.append(join.private_place_names(k))
@@ -207,67 +229,50 @@ def compile_join(
     )
 
 
-class _Outcomes:
-    """The kept outcomes of one activity, a row each in firing order:
-    shared marking, source id, shared target, target id, rate.
+class _Unread:
+    """The value of a place outside an activity's footprint.  Any use of
+    it adds the place to ``reads`` and raises ``KeyError``, so an
+    evaluation that finishes has used footprint values only."""
 
-    Rows live in flat arrays rather than tuples and floats.  Freeing
-    them then leaves no small objects scattered through memory, and the
-    tables, built last, stay together for the stages that walk them:
-    with tuple records, the stages after compilation at Table 1 J=2
-    (saturation, projection, MD build, lumping) took about 10% longer.
-    """
+    __slots__ = ("name", "index", "reads")
 
-    __slots__ = ("s1", "source", "s1_target", "target", "rate")
+    def __init__(self, name: str, index: int, reads: Set[int]) -> None:
+        self.name, self.index, self.reads = name, index, reads
 
-    def __init__(self) -> None:
-        self.s1 = array("q")
-        self.source = array("q")
-        self.s1_target = array("q")
-        self.target = array("q")
-        self.rate = array("d")
+    def _use(self, *_args: object) -> NoReturn:
+        self.reads.add(self.index)
+        raise KeyError(self.name)
 
-    def add(
-        self, s1: int, source: int, s1_target: int, target: int, rate: float
-    ) -> None:
-        self.s1.append(s1)
-        self.source.append(source)
-        self.s1_target.append(s1_target)
-        self.target.append(target)
-        self.rate.append(rate)
+    __getattr__ = _use
 
-    def rows(
-        self, rank: np.ndarray, indices: List[int]
-    ) -> Iterator[Tuple[int, int, int, int, float]]:
-        """The rows with ids mapped to level indices (``rank`` as an array,
-        ``indices`` as the list whose int objects the tables share),
-        ordered by shared marking, then source index, then firing order."""
-        s1 = np.frombuffer(self.s1, dtype=np.int64)
-        source = rank[np.frombuffer(self.source, dtype=np.int64)]
-        order = np.argsort(s1 * len(rank) + source, kind="stable")
-        for row in order.tolist():
-            yield (
-                self.s1[row],
-                indices[self.source[row]],
-                self.s1_target[row],
-                indices[self.target[row]],
-                self.rate[row],
-            )
+
+# Everything an int can be used for; only a test of a value's identity
+# or type goes unseen.
+for _method in (
+    "bool int float complex index round trunc floor ceil hash repr str "
+    "format eq ne lt le gt ge neg pos abs invert add radd sub rsub mul "
+    "rmul truediv rtruediv floordiv rfloordiv mod rmod divmod rdivmod pow "
+    "rpow lshift rlshift rshift rrshift and rand xor rxor or ror"
+).split():
+    setattr(_Unread, f"__{_method}__", _Unread._use)
 
 
 class _SubmodelPass:
     """One submodel's enumerate-and-record pass.
 
-    :meth:`search` explores the submodel's private markings depth first
-    from the initial marking.  It admits every target that passes the
+    :meth:`close` closes the private markings from the initial one a
+    frontier at a time, admitting every target that passes the
     submodel's capacities and local invariant (the standard
     over-approximation of the projection; the initial marking is admitted
-    unchecked) and records each firing's kept outcomes as
-    :class:`_Outcomes` rows, per activity.  A local activity's outcomes
-    are recorded once both contexts agree; otherwise the source marking
-    and the declaration error are.  An outcome whose target fails a check
-    is counted in ``dropped`` (a local activity's once per context).
-    :meth:`tables` builds the event tables from the rows and drops them.
+    unchecked), and records the kept outcomes and the declaration errors.
+    A target that fails a check is counted in ``dropped`` (a local
+    activity's once per context).  :meth:`tables` builds the event tables.
+
+    Places are numbered the join's shared places first, as every
+    activity sees them, then the submodel's private places.  Codes are
+    mixed-radix over ``capacity + 1``: a label's over the private places,
+    a valuation's over an activity's footprint; Python ints in object
+    arrays where they could pass int64.
     """
 
     def __init__(
@@ -278,100 +283,72 @@ class _SubmodelPass:
         max_states: Optional[int],
     ) -> None:
         self.model = join.submodels[submodel_index]
-        self.shared_names = join.shared_place_names()
         self.names = join.private_place_names(submodel_index)
-        self.shared_states = shared_states
         self.max_states = max_states
-        self.initial = _marking_tuple(
-            self.names, self.model.initial_marking()
-        )
-        #: Admitted labels in admission order; a label's id is its index.
-        self.level: List[Label] = [self.initial]
-        self.dropped = 0
-        self.firings = 0
-        self._outcomes = [_Outcomes() for _ in self.model.activities]
-        self._errors: List[List[Tuple[Label, str]]] = [
-            [] for _ in self.model.activities
+        activities = self.model.activities
+        places = join.shared_places + join.private_places[submodel_index]
+        self.place_names = [place.name for place in places]
+        self.limits = [place.capacity + 1 for place in places]
+        wide = math.prod(self.limits) * max(len(activities), 1) >= 2**63
+        self.dtype = object if wide else np.int64
+        self.shared = len(join.shared_places)
+        self.shared_states = shared_states
+        self.shared_index = {state: i for i, state in enumerate(shared_states)}
+        self.contexts = np.array(shared_states, dtype=np.int64)
+        self.radix = np.array(self.limits[self.shared:], dtype=self.dtype)
+        self.strides = np.cumprod(np.append(1, self.radix[:0:-1]))[::-1]
+        self.last = len(shared_states) - 1
+        # A source fires a shared activity in every shared marking and a
+        # local one in the first and the last: one slot each.
+        slots = [
+            (j, s1)
+            for j, activity in enumerate(activities)
+            for s1 in (
+                range(self.last + 1) if activity.shared else {0, self.last}
+            )
         ]
-        #: Target label -> its id if admitted, -1 if it fails the checks.
-        self._ids: Dict[Label, int] = {}
-        self._frontier: List[int] = [0]
+        self.slot_activity, self.slot_context = np.array(
+            slots, dtype=np.int64
+        ).reshape(-1, 2).T
+        self.activity_shared = np.array([a.shared for a in activities], bool)
+        self.dropped = self.firings = self.evaluations = 0
+        self._footprints: List[Set[int]] = [set() for _ in activities]
+        self._weights = np.zeros((len(activities), len(places)), self.dtype)
+        #: Per activity: valuation code -> (first outcome row, row count).
+        self._memo: List[Dict[int, Tuple[int, int]]] = [{} for _ in activities]
+        self._reads: Set[int] = set()
+        self._unread = [
+            _Unread(name, p, self._reads)
+            for p, name in enumerate(self.place_names)
+        ]
+        #: Outcome rows, a column each: rate, change of the label code,
+        #: whether the private target is within the capacities, and the
+        #: shared target from each shared marking (-1: not a shared
+        #: state).  Rows evaluated since the last flush wait in _pending.
+        self._table = [np.zeros(0), np.zeros(0, self.dtype), np.zeros(0, bool)]
+        self._table.append(np.zeros((0, len(shared_states)), np.int64))
+        self._pending: List[Tuple[float, int, bool, List[int]]] = []
+        initial = _marking_tuple(self.names, self.model.initial_marking())
+        self._initial_code = sum(map(mul, initial, self.strides.tolist()))
+        #: Admitted label codes by id; target code -> id (-1: rejected).
+        self._codes = [self._initial_code]
+        self._ids: Dict[int, int] = {}
+        #: Kept outcomes by chunk: activity, shared marking, source id,
+        #: shared target, target id, rate.
+        self._rows: List[Tuple[np.ndarray, ...]] = []
+        self._errors: List[List[Tuple[int, str]]] = [[] for _ in activities]
 
-    def search(self) -> None:
+    def close(self) -> None:
         """Fire the activities from every admitted marking and record."""
-        shared_names = self.shared_names
-        names = self.names
-        level = self.level
-        shared_index = {
-            state: i for i, state in enumerate(self.shared_states)
-        }
-        contexts = [
-            (s1_index, shared, dict(zip(shared_names, shared)))
-            for s1_index, shared in enumerate(self.shared_states)
-        ]
-        last = len(contexts) - 1
-        every = list(enumerate(self.model.activities))
-        shared_only = [(j, act) for j, act in every if act.shared]
-        recorded = self._outcomes
-        errors = self._errors
-        admit = self._admit
-        frontier = self._frontier
-        while frontier:
-            source = frontier.pop()
-            private_marking = dict(zip(names, level[source]))
-            first: Dict[int, Tuple[bool, list]] = {}
-            for s1_index, shared, shared_marking in contexts:
-                full = dict(shared_marking)
-                full.update(private_marking)
-                fires_local = s1_index == 0 or s1_index == last
-                for j, activity in every if fires_local else shared_only:
-                    self.firings += 1
-                    outcomes = _fire_activity(activity, full)
-                    if activity.shared:
-                        add = recorded[j].add
-                        for target_full, rate in outcomes:
-                            target = admit(_marking_tuple(names, target_full))
-                            s1_target = shared_index.get(
-                                _marking_tuple(shared_names, target_full)
-                            )
-                            if target < 0 or s1_target is None:
-                                self.dropped += 1
-                            else:
-                                add(s1_index, source, s1_target, target, rate)
-                        continue
-                    modifies = False
-                    options = []
-                    for target_full, rate in outcomes:
-                        label = _marking_tuple(names, target_full)
-                        target = admit(label)
-                        if _marking_tuple(shared_names, target_full) != shared:
-                            modifies = True
-                        elif target < 0:
-                            self.dropped += 1
-                        else:
-                            options.append((label, rate, target))
-                    # Label order is level order once the level is sorted.
-                    options.sort()
-                    if s1_index == 0:
-                        first[j] = (modifies, options)
-                    if s1_index != last:
-                        continue
-                    first_modifies, first_options = first[j]
-                    if modifies or first_modifies:
-                        errors[j].append(
-                            (level[source], "modifies shared places")
-                        )
-                    elif options != first_options:
-                        errors[j].append(
-                            (
-                                level[source],
-                                "its behaviour depends on shared places",
-                            )
-                        )
-                    else:
-                        add = recorded[j].add
-                        for _label, rate, target in options:
-                            add(0, source, 0, target, rate)
+        step = max(1, _CHUNK_ROWS // max(len(self.slot_activity), 1))
+        ids = np.zeros(1, dtype=np.int64)
+        codes = np.array(self._codes, dtype=self.dtype)
+        while len(self.slot_activity) and len(ids):
+            found = [
+                self._chunk(ids[start:start + step], codes[start:start + step])
+                for start in range(0, len(ids), step)
+            ]
+            ids, codes = (np.concatenate(parts) for parts in zip(*found))
 
     def declaration_error(self) -> Optional[ModelError]:
         """The error for the first mis-declared local activity, at its
@@ -387,48 +364,263 @@ class _SubmodelPass:
     def tables(self) -> Tuple[List[Label], LevelEffect, SyncTables]:
         """The sorted level, its local table and its sync tables.
 
-        Activity by activity, sources in level order: that fixes the key
-        and option order of the merged tables.
+        Rows go in activity by activity, by shared marking and source
+        index, then a local activity's by target index and rate and a
+        shared one's cases in firing order: that fixes the key and option
+        order of the merged tables.  The rows are read from flat arrays,
+        which leave no small objects scattered through memory: with tuple
+        records, the stages after compilation at Table 1 J=2 (saturation,
+        projection, MD build, lumping) took about 10% longer.
         """
-        level = self.level
-        order = sorted(range(len(level)), key=level.__getitem__)
-        rank = np.empty(len(level), dtype=np.int64)
-        rank[order] = np.arange(len(level))
+        codes = np.array(self._codes, dtype=self.dtype)
+        order = np.argsort(codes)
+        rank = np.empty(len(codes), dtype=np.int64)
+        rank[order] = np.arange(len(codes))
         indices = rank.tolist()
+        labels = list(map(tuple, self._decode(codes[order]).tolist()))
         local_table: LevelEffect = {}
         sync_tables: SyncTables = {}
-        pending, self._outcomes = self._outcomes, []
-        for activity in self.model.activities:
-            # Each activity's rows are freed once they are in the tables.
-            rows = pending.pop(0).rows(rank, indices)
-            if not activity.shared:
-                for _, source, _, target, rate in rows:
-                    local_table.setdefault(source, []).append((target, rate))
-                continue
-            for s1_index, source, s1_target, target, rate in rows:
+        if not self._rows:
+            return labels, local_table, sync_tables
+        activity, s1, source, s1_target, target, rate = (
+            np.concatenate(column) for column in zip(*self._rows)
+        )
+        self._rows = []
+        local = ~self.activity_shared[activity]
+        order = np.lexsort(
+            (rate * local, rank[target] * local, rank[source], s1, activity)
+        )
+        columns = [local[order].tolist()]
+        columns += [array("q", c[order].tobytes()) for c in (s1, source)]
+        columns += [array("q", c[order].tobytes()) for c in (s1_target, target)]
+        columns.append(array("d", rate[order].tobytes()))
+        # Only the flat arrays stay while the tables grow.
+        del activity, s1, source, s1_target, target, rate, local, order
+        for is_local, s1_index, source, s1_target, target, rate in zip(
+            *columns
+        ):
+            if is_local:
+                options = local_table.setdefault(indices[source], [])
+            else:
                 table = sync_tables.setdefault((s1_index, s1_target), {})
-                table.setdefault(source, []).append((target, rate))
-        return [level[i] for i in order], local_table, sync_tables
+                options = table.setdefault(indices[source], [])
+            options.append((indices[target], rate))
+        return labels, local_table, sync_tables
 
-    def _admit(self, label: Label) -> int:
-        """The label's id if it passes the submodel's checks, else -1;
-        a new admitted label joins the level and the frontier."""
-        target = self._ids.get(label)
-        if target is not None:
-            return target
-        if not self.model.check_marking(dict(zip(self.names, label))):
-            target = -1
-        elif label == self.initial:
-            target = 0
-        else:
-            target = len(self.level)
-            self.level.append(label)
-            self._frontier.append(target)
-            limit = self.max_states
-            if limit is not None and len(self.level) > limit:
-                raise StateSpaceError(
-                    f"submodel {self.model.name!r} exceeds "
-                    f"{limit} local states"
-                )
-        self._ids[label] = target
-        return target
+    def _decode(self, codes: np.ndarray) -> np.ndarray:
+        """The private values of label codes, a row each."""
+        return (codes[:, None] // self.strides % self.radix).astype(np.int64)
+
+    def _chunk(
+        self, ids: np.ndarray, codes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fire every slot from the sources ``ids`` (label ``codes``
+        alongside), admit the targets and record the kept outcomes;
+        returns the ids and codes of the labels admitted."""
+        start, count = self._outcome_rows(self._decode(codes))
+        self.firings += len(start)
+        pair = np.repeat(np.arange(len(start)), count)
+        row = np.arange(len(pair)) + np.repeat(
+            start - np.cumsum(count) + count, count
+        )
+        source, slot = np.divmod(pair, len(self.slot_activity))
+        activity = self.slot_activity[slot]
+        context = self.slot_context[slot]
+        rate, delta, fits, s1_targets = self._table
+        fits = fits[row]
+        target = np.full(len(row), -1, dtype=np.int64)
+        target[fits], admitted = self._admit(
+            codes[source[fits]] + delta[row[fits]]
+        )
+        rate, s1_target = rate[row], s1_targets[row, context]
+        shared = self.activity_shared[activity]
+        kept = shared & (target >= 0) & (s1_target >= 0)
+        # A local outcome that keeps the shared marking keeps its index.
+        modifies = ~shared & (s1_target != context)
+        options = ~shared & ~modifies
+        self.dropped += int(np.count_nonzero(shared & ~kept))
+        self.dropped += int(np.count_nonzero(options & (target < 0)))
+        options &= target >= 0
+        n = len(self.activity_shared)
+        group = source * n + activity
+        errors = dict.fromkeys(group[modifies].tolist(), _MODIFIES)
+        if self.last > 0:
+            last = context == self.last
+            compared = (a[options] for a in (group, last, target, rate))
+            for g in _disagree(*compared):
+                errors.setdefault(g, _DEPENDS)
+            options &= last
+        for g, reason in errors.items():
+            self._errors[g % n].append((codes[g // n], reason))
+        # Options are kept from the last shared marking.  A mis-declared
+        # activity's are kept too: compile_join raises its error anyway.
+        kept |= options
+        columns = (activity, np.where(shared, context, 0), ids[source])
+        columns += (np.where(shared, s1_target, 0), target, rate)
+        self._rows.append(tuple(column[kept] for column in columns))
+        return admitted
+
+    def _outcome_rows(
+        self, values: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The first outcome row and the row count of every firing from
+        the private ``values``, source ``i`` and slot ``k`` at
+        ``i * slots + k``.  Activities are evaluated where the memo
+        misses; after a footprint grew, the codes are computed again."""
+        n_activities = len(self.activity_shared)
+        while True:
+            weights = self._weights.T
+            codes = (values @ weights[self.shared:])[:, self.slot_activity]
+            codes += (self.contexts @ weights[:self.shared])[
+                self.slot_context, self.slot_activity
+            ]
+            keys = (codes * n_activities + self.slot_activity).ravel()
+            unique, first, inverse = np.unique(
+                keys, return_index=True, return_inverse=True
+            )
+            found = []
+            for key, pair in zip(unique.tolist(), first.tolist()):
+                code, j = divmod(key, n_activities)
+                rows = self._memo[j].get(code)
+                if rows is None:
+                    i, slot = divmod(pair, len(self.slot_activity))
+                    s1 = self.shared_states[self.slot_context[slot]]
+                    rows = self._evaluate(j, s1 + tuple(values[i].tolist()))
+                found.append(rows)
+            if None not in found:
+                if self._pending:
+                    new = zip(self._table, zip(*self._pending))
+                    self._table = [
+                        np.concatenate([column, np.array(rows, column.dtype)])
+                        for column, rows in new
+                    ]
+                    self._pending = []
+                rows = np.array(found, dtype=np.int64).reshape(-1, 2)[inverse]
+                return rows[:, 0], rows[:, 1]
+
+    def _evaluate(
+        self, j: int, valuation: Label
+    ) -> Optional[Tuple[int, int]]:
+        """Evaluate activity ``j`` at ``valuation`` (every place's value),
+        growing its footprint until an evaluation finishes without using
+        another place.  The outcomes join the memo under the final
+        footprint; returns their first row and row count, or None if the
+        footprint grew (the codes computed before are stale)."""
+        activity = self.model.activities[j]
+        footprint = self._footprints[j]
+        grown = False
+        while True:
+            self.evaluations += 1
+            self._reads.clear()
+            marking = {
+                name: valuation[p] if p in footprint else self._unread[p]
+                for p, name in enumerate(self.place_names)
+            }
+            try:
+                outcomes = [
+                    self._outcome(target, rate, valuation, footprint)
+                    for target, rate in _fire_activity(activity, marking)
+                ]
+            except Exception:
+                # Once a placeholder was used, whatever the evaluation
+                # raised may be an artefact of the placeholder.
+                if not self._reads:
+                    raise
+            if not self._reads:
+                break
+            footprint |= self._reads
+            grown = True
+        if grown:
+            self._weights[j] = 0
+            stride = 1
+            for p in sorted(footprint, reverse=True):
+                self._weights[j, p] = stride
+                stride *= self.limits[p]
+            self._memo[j] = {}
+        code = sum(map(mul, valuation, self._weights[j].tolist()))
+        rows = self._memo[j][code] = (
+            len(self._table[0]) + len(self._pending),
+            len(outcomes),
+        )
+        self._pending += outcomes
+        return None if grown else rows
+
+    def _outcome(
+        self,
+        target: Marking,
+        rate: float,
+        valuation: Label,
+        footprint: Set[int],
+    ) -> Tuple[float, int, bool, List[int]]:
+        """The outcome row of ``target`` from ``valuation``; a missing
+        place reads 0.  A place the target sets or drops outside the
+        footprint is recorded as read, since its change depends on its
+        value.  Values are clamped to one step outside their range, which
+        keeps every check they fail."""
+        delta = []
+        for p, name in enumerate(self.place_names):
+            value = target.get(name, 0)
+            if value is self._unread[p]:
+                delta.append(0)
+            elif p in footprint:
+                value = min(max(int(value), -1), self.limits[p])
+                delta.append(value - valuation[p])
+            else:
+                self._reads.add(p)
+                delta.append(0)
+        shared, private = delta[:self.shared], delta[self.shared:]
+        s1_target = [
+            self.shared_index.get(tuple(map(add, s1, shared)), -1)
+            for s1 in self.shared_states
+        ]
+        after = map(add, valuation[self.shared:], private)
+        limits = self.limits[self.shared:]
+        fits = all(0 <= v < limit for v, limit in zip(after, limits))
+        code = sum(map(mul, private, self.strides.tolist()))
+        return rate, code, fits, s1_target
+
+    def _admit(
+        self, codes: np.ndarray
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        """The ids of the target labels ``codes``, -1 for a label that
+        fails the submodel's checks.  Each label is checked when first
+        met as a target (the initial label too, which is in the level
+        already), and a new one that passes joins the level.  Returns the
+        ids, and the ids and codes of the labels admitted."""
+        unique, inverse = np.unique(codes, return_inverse=True)
+        met = unique.tolist()
+        found = [self._ids.get(code) for code in met]
+        new = [i for i, known in enumerate(found) if known is None]
+        admitted = []
+        for i, label in zip(new, self._decode(unique[new]).tolist()):
+            if not self.model.check_marking(dict(zip(self.names, label))):
+                found[i] = -1
+            elif met[i] == self._initial_code:
+                found[i] = 0
+            else:
+                found[i] = len(self._codes)
+                self._codes.append(met[i])
+                admitted.append(i)
+            self._ids[met[i]] = found[i]
+        if self.max_states is not None and len(self._codes) > self.max_states:
+            raise StateSpaceError(
+                f"submodel {self.model.name!r} exceeds "
+                f"{self.max_states} local states"
+            )
+        ids = np.array(found, dtype=np.int64)
+        return ids[inverse], (ids[admitted], unique[admitted])
+
+
+def _disagree(
+    group: np.ndarray, last: np.ndarray, target: np.ndarray, rate: np.ndarray
+) -> List[int]:
+    """The groups whose options in the first and in the last shared
+    marking differ as multisets of (target, rate)."""
+    if not len(group):
+        return []
+    order = np.lexsort((rate, target, group))
+    group, target, rate = group[order], target[order], rate[order]
+    change = (np.diff(group) != 0) | (np.diff(target) != 0)
+    runs = np.flatnonzero(np.append(True, change | (np.diff(rate) != 0)))
+    balance = np.add.reduceat(np.where(last[order], -1, 1), runs)
+    return group[runs[balance != 0]].tolist()

@@ -500,3 +500,249 @@ def test_replica_probability_error_names_the_replica():
         ModelError, match="activity 'r0.odd' case has non-finite"
     ):
         compile_join(Join([farm, _pool_feeder(1)]))
+
+
+def test_enabled_activity_whose_case_probabilities_are_all_zero_fails():
+    a = SANModel(
+        "a",
+        [Place("s", 1, 0), Place("x", 1, 0)],
+        [Activity("stuck", 2.0, [Case(0.0, _update([("x", 1)]))])],
+    )
+    with pytest.raises(
+        ModelError,
+        match=(
+            r"activity 'stuck': enabled case probabilities sum to 0\.0, "
+            r"expected 1"
+        ),
+    ):
+        compile_join(Join([a, _pool_feeder(1)]))
+
+
+# ----------------------------------------------------------------------
+# footprint discovery
+# ----------------------------------------------------------------------
+
+#: Activity evaluations at Table 1 J=1: one per distinct footprint
+#: valuation plus the retries that grew a footprint.
+TABLE1_J1_EVALUATIONS = 3_492
+
+
+def test_table1_j1_evaluations(table1_j1):
+    assert table1_j1.stats["evaluations"] == TABLE1_J1_EVALUATIONS
+
+
+def _footprint_rate(kind, base, p, q, name):
+    """A rate that uses the marking as ``kind`` says: not at all, ``q``
+    only where ``p`` is positive, through ``get`` and ``in``, or every
+    value at once."""
+    if kind == "constant":
+        return base
+    if kind == "branch":
+        return lambda m: base * (1 + m[q]) if m[p] > 0 else base
+    if kind == "get":
+        return lambda m: base * (1 + m.get(q, 0)) * (2 if name in m else 1)
+    return lambda m: base * (1 + sum(m.values()))
+
+
+def _footprint_update(kind, p, q, value):
+    """An update that changes ``p`` as ``kind`` says: not at all, from a
+    ``{**m}`` spread, by setting it without reading it, by dropping it
+    (a missing place reads 0) or from ``q`` read through ``get`` on a
+    copy."""
+
+    def update(marking):
+        if kind == "identity":
+            return marking
+        if kind == "spread":
+            return {**marking, p: marking[p] + value}
+        marking = dict(marking)
+        if kind == "set":
+            marking[p] = value
+        elif kind == "drop":
+            del marking[p]
+        else:
+            marking[p] = marking.get(q, 0) + value
+        return marking
+
+    return update
+
+
+@st.composite
+def footprint_activities(draw, name, shared, private, local):
+    """An activity whose footprint depends on the marking it sees.  A
+    local one reads and writes private places only; a shared one any."""
+    readable = private if local else shared + private
+    p, q = draw(st.sampled_from(readable)), draw(st.sampled_from(readable))
+    rate = _footprint_rate(
+        draw(
+            st.sampled_from(
+                ["constant", "branch", "get"] + ([] if local else ["values"])
+            )
+        ),
+        draw(st.sampled_from([0.5, 1.0, 2.0])),
+        p,
+        q,
+        draw(st.sampled_from(readable + ["elsewhere"])),
+    )
+    updates = [
+        _footprint_update(
+            draw(
+                st.sampled_from(
+                    ["identity", "spread", "set", "drop", "copy-get"]
+                )
+            ),
+            draw(st.sampled_from(readable)),
+            draw(st.sampled_from(readable)),
+            draw(st.sampled_from([-1, 0, 1])),
+        )
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    if len(updates) == 1:
+        cases = [Case(1.0, updates[0])]
+    else:
+        cases = [
+            Case(lambda m: 0.25 if m[p] > 0 else 0.5, updates[0]),
+            Case(lambda m: 0.75 if m[p] > 0 else 0.5, updates[1]),
+        ]
+    return Activity(name, rate, cases, shared=not local)
+
+
+@st.composite
+def footprint_joins(draw):
+    """Random joins of 2 submodels whose activities read places only in
+    some markings, set places they never read, read through ``get``,
+    ``in`` or ``sum(m.values())``, return ``{**m, ...}`` or a marking
+    without some place, or have constant rates and identity updates."""
+    shared = [
+        Place(f"s{i}", capacity, draw(st.integers(0, capacity)))
+        for i, capacity in enumerate(
+            draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+        )
+    ]
+    shared_names = [place.name for place in shared]
+    submodels = []
+    for k in range(2):
+        private = [
+            Place(f"m{k}p{i}", capacity, draw(st.integers(0, capacity)))
+            for i, capacity in enumerate(
+                draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+            )
+        ]
+        names = [place.name for place in private]
+        activities = [
+            draw(
+                footprint_activities(
+                    f"m{k}a{a}", shared_names, names, draw(st.booleans())
+                )
+            )
+            for a in range(draw(st.integers(1, 4)))
+        ]
+        invariant = None
+        if draw(st.booleans()):
+            invariant = _total_at_most(
+                names, sum(place.capacity for place in private) - 1
+            )
+        submodels.append(
+            SANModel(
+                f"m{k}", shared + private, activities, local_invariant=invariant
+            )
+        )
+    return Join(submodels)
+
+
+@DIFFERENTIAL
+@given(footprint_joins())
+def test_footprint_joins_match_oracle(join):
+    assert_matches_oracle(join)
+
+
+def test_submodel_whose_codes_pass_int64_matches_oracle():
+    """40 private places of capacity 3 (4**40 > 2**63 markings) with a
+    local invariant that keeps at most one token among them: codes are
+    Python ints, and the compiled model is the oracle's."""
+    places = [f"x{i}" for i in range(40)]
+
+    def depart_rate(marking):
+        return float(sum(marking[name] for name in places))
+
+    def depart_probability(name):
+        return lambda m: m[name] / sum(m[other] for other in places)
+
+    unit = SANModel(
+        "unit",
+        [Place("s", 2, 0)] + [Place(name, 3, 0) for name in places],
+        [
+            Activity(
+                "arrive",
+                lambda m: 1.0 if m["s"] > 0 else 0.0,
+                [
+                    Case(1 / len(places), _update([("s", -1), (name, 1)]))
+                    for name in places
+                ],
+            ),
+            Activity(
+                "depart",
+                depart_rate,
+                [
+                    Case(
+                        depart_probability(name),
+                        _update([(name, -1), ("s", 1)]),
+                    )
+                    for name in places
+                ],
+            ),
+        ],
+        local_invariant=_total_at_most(places, 1),
+    )
+    join = Join([unit, _pool_feeder(2)])
+    assert 4 ** len(places) > 2**63
+    assert_matches_oracle(join)
+    assert len(compile_join(join).event_model.levels[1].labels) == 41
+
+
+def test_footprint_growth_clears_the_memo():
+    """``probe`` reads ``q`` only once ``p`` reaches 2, after it was
+    evaluated at p=0 and p=1 on the footprint {p}.  Over {p, q} the
+    marking p=0, q=1 has the code p=1 had over {p}, and a rate of 1, not
+    2: a memo kept across the growth would give it the wrong rate."""
+
+    def move(name, value):
+        return lambda m: {**m, name: value}
+
+    a = SANModel(
+        "a",
+        [Place("s", 1, 0), Place("p", 2, 0), Place("q", 1, 0)],
+        [
+            Activity(
+                "probe",
+                lambda m: 1.0 + m["p"] if m["p"] < 2 else 2.0 + m["q"],
+                [Case(1.0, lambda m: m)],
+                shared=False,
+            ),
+            Activity(
+                "climb",
+                lambda m: 1.0 if m["p"] < 2 else 0.0,
+                [Case(1.0, _update([("p", 1)]))],
+                shared=False,
+            ),
+            Activity(
+                "flip",
+                lambda m: 1.0 if m["p"] == 2 and m["q"] == 0 else 0.0,
+                [Case(1.0, move("q", 1))],
+                shared=False,
+            ),
+            Activity(
+                "reset",
+                lambda m: 1.0 if m["p"] == 2 and m["q"] == 1 else 0.0,
+                [Case(1.0, move("p", 0))],
+                shared=False,
+            ),
+        ],
+    )
+    join = Join([a, _pool_feeder(1)])
+    assert_matches_oracle(join)
+    compiled = compile_join(join)
+    level = compiled.event_model.levels[1]
+    (local,) = [e for e in compiled.event_model.events if e.name == "a.local"]
+    source = level.labels.index((0, 1))
+    assert (source, 1.0) in local.effects[2][source]
