@@ -83,7 +83,7 @@ class KroneckerDescriptor:
                 continue
             size = self._sizes[component]
             for r, c, _v in factor:
-                if r >= size or c >= size:
+                if not (0 <= r < size and 0 <= c < size):
                     raise ModelError(
                         f"factor entry ({r},{c}) outside component "
                         f"{component} of size {size}"

@@ -2,8 +2,11 @@
 
 Every Kronecker term becomes a chain of MD nodes, and hash-consing inside
 the MD builder shares equal suffixes (identity tails, repeated factors)
-across terms.  The resulting MD represents exactly the descriptor's matrix
-(verified in tests by flattening both).
+across terms.  A term's identity factors reach the builder as ``None``,
+as the term stores them, so the builder makes each identity node once
+per (level, child) instead of reading an identity matrix per term.  The
+resulting MD represents exactly the descriptor's matrix (verified in
+tests by flattening both).
 """
 
 from __future__ import annotations
@@ -21,18 +24,16 @@ def descriptor_to_md(
 ) -> MatrixDiagram:
     """The MD of the descriptor's matrix, with component ``i`` at level
     ``i + 1``'s place (components map to levels in order)."""
-    sizes = descriptor.component_sizes
-    terms = []
-    for term in descriptor.terms:
-        matrices = []
-        for component in range(descriptor.num_components):
-            entries = term.factor_entries(component)
-            if entries is None:
-                entries = {
-                    (s, s): 1.0 for s in range(sizes[component])
-                }
-            matrices.append(entries)
-        terms.append((term.weight, matrices))
+    terms = [
+        (
+            term.weight,
+            [
+                term.factor_entries(component)
+                for component in range(descriptor.num_components)
+            ],
+        )
+        for term in descriptor.terms
+    ]
     return md_from_kronecker_terms(
-        terms, sizes, level_state_labels=level_state_labels
+        terms, descriptor.component_sizes, level_state_labels=level_state_labels
     )

@@ -6,10 +6,14 @@ Two entry points matter in practice:
   products ``R = sum_e lambda_e * W_1^e (x) .. (x) W_L^e``.  This is the
   formalism-independent path the paper relies on ("MD representations of Q
   can be derived ... from a given sparse matrix or Kronecker representation
-  of Q").
+  of Q"), and the one MD builder: ``EventModel.to_md`` hands it the event
+  tables, ``descriptor_to_md`` a descriptor's terms, and ``md_identity``
+  one all-identity term.  A factor ``None`` is the identity, so no caller
+  writes an identity matrix out, and no identity node or formal sum is
+  built twice.
 * :class:`MDBuilder` — incremental construction with hash-consing, so MDs
-  are reduced (no duplicate nodes per level) by construction.  Used by the
-  Kronecker conversion and by the lumping algorithm when it rebuilds nodes.
+  are reduced (no duplicate nodes per level) by construction.  Used by
+  :func:`md_from_kronecker_terms` and :func:`md_from_flat_matrix`.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ class MDBuilder:
     ) -> int:
         """Intern a node; returns the index of the canonical copy."""
         terminal = level == self.num_levels
-        node = MDNode(level, dict(entries), terminal=terminal)
+        node = MDNode(level, entries, terminal=terminal)
         key = node.structure_key()
         existing = self._intern.get(key)
         if existing is not None:
@@ -118,21 +122,28 @@ class MDBuilder:
 
 
 def md_from_kronecker_terms(
-    terms: Iterable[Tuple[float, Sequence[MatrixLike]]],
+    terms: Iterable[Tuple[float, Sequence[Optional[MatrixLike]]]],
     level_sizes: Sequence[int],
     level_state_labels: Optional[Sequence[Sequence[object]]] = None,
 ) -> MatrixDiagram:
     """The MD of ``R = sum_e lambda_e * W_1^e (x) W_2^e (x) .. (x) W_L^e``.
 
-    Each term contributes a chain of nodes (one per level below the root);
-    the root combines all terms in its formal sums.  Hash-consing shares
-    equal suffixes across terms — e.g. all terms whose lower levels are
-    identity matrices share a single identity chain, which is where the MD's
-    compactness comes from.
+    A factor ``None`` is the identity on its level.  Each term contributes
+    a chain of nodes (one per level below the root), built bottom-up in
+    term order; the root combines all terms in its formal sums.
+    Hash-consing shares equal suffixes across terms — e.g. all terms whose
+    lower levels are identity matrices share a single identity chain,
+    which is where the MD's compactness comes from.
+
+    Within a call an identity node is built once per (level, child), and
+    each (child, coefficient) formal sum once (formal sums are immutable,
+    so nodes share them).  Every other node goes through
+    :meth:`MDBuilder.add_node` as it comes, so node indices, entry order
+    and every value are those of building each chain in full.
 
     >>> import numpy as np
     >>> md = md_from_kronecker_terms(
-    ...     [(2.0, [np.eye(2), np.eye(3)])], level_sizes=(2, 3))
+    ...     [(2.0, [np.eye(2), None])], level_sizes=(2, 3))
     >>> md.num_levels
     2
     """
@@ -141,7 +152,9 @@ def md_from_kronecker_terms(
     if num_levels == 0:
         raise MatrixDiagramError("need at least one level")
     builder = MDBuilder(level_sizes, level_state_labels)
-    term_list: List[Tuple[float, List[Dict[Tuple[int, int], float]]]] = []
+    term_list: List[
+        Tuple[float, List[Optional[Dict[Tuple[int, int], float]]]]
+    ] = []
     for weight, matrices in terms:
         matrices = list(matrices)
         if len(matrices) != num_levels:
@@ -149,31 +162,68 @@ def md_from_kronecker_terms(
                 f"term has {len(matrices)} level matrices, expected {num_levels}"
             )
         term_list.append(
-            (float(weight), [matrix_entries(m) for m in matrices])
+            (
+                float(weight),
+                [None if m is None else matrix_entries(m) for m in matrices],
+            )
         )
     if not term_list:
         raise MatrixDiagramError("need at least one Kronecker term")
 
-    root_entries: Dict[Tuple[int, int], FormalSum] = {}
+    def factor_items(
+        level: int, matrix: Optional[Dict[Tuple[int, int], float]]
+    ) -> Iterable[Tuple[Tuple[int, int], float]]:
+        if matrix is None:
+            return (((s, s), 1.0) for s in range(level_sizes[level - 1]))
+        return matrix.items()
+
     if num_levels == 1:
         flat: Dict[Tuple[int, int], float] = {}
-        for weight, (entries,) in term_list:
-            for rc, value in entries.items():
+        for weight, (matrix,) in term_list:
+            for rc, value in factor_items(1, matrix):
                 flat[rc] = flat.get(rc, 0.0) + weight * value
         root = builder.add_node(1, flat)
         return builder.finish(root)
 
+    # child -> coefficient -> the formal sum ``coefficient * R_child``.
+    sums: Dict[int, Dict[float, FormalSum]] = {}
+
+    def formal_sums(
+        child: int, coefficients: Iterable[float]
+    ) -> Dict[float, FormalSum]:
+        made = sums.setdefault(child, {})
+        for coefficient in coefficients:
+            if coefficient not in made:
+                made[coefficient] = FormalSum.of(child, coefficient)
+        return made
+
+    # (level, child) -> the identity node over ``child``.
+    identities: Dict[Tuple[int, Optional[int]], int] = {}
+    root_entries: Dict[Tuple[int, int], FormalSum] = {}
     for weight, matrices in term_list:
         # Build the chain bottom-up: terminal node first.
-        child = builder.add_node(num_levels, matrices[-1])
-        for level in range(num_levels - 1, 1, -1):
-            entries = {
-                rc: FormalSum.of(child, value)
-                for rc, value in matrices[level - 1].items()
-            }
+        child = None
+        for level in range(num_levels, 1, -1):
+            matrix = matrices[level - 1]
+            entries: Mapping[Tuple[int, int], Entry]
+            if matrix is None:
+                key = (level, child)
+                if key in identities:
+                    child = identities[key]
+                    continue
+                one = 1.0 if child is None else formal_sums(child, (1.0,))[1.0]
+                entries = {(s, s): one for s in range(level_sizes[level - 1])}
+            elif child is None:
+                entries = matrix
+            else:
+                made = formal_sums(child, matrix.values())
+                entries = {rc: made[value] for rc, value in matrix.items()}
             child = builder.add_node(level, entries)
-        for rc, value in matrices[0].items():
-            term_sum = FormalSum.of(child, weight * value)
+            if matrix is None:
+                identities[key] = child
+        for rc, value in factor_items(1, matrices[0]):
+            coefficient = weight * value
+            term_sum = formal_sums(child, (coefficient,))[coefficient]
             existing = root_entries.get(rc)
             root_entries[rc] = term_sum if existing is None else existing + term_sum
     root = builder.add_node(1, root_entries)
@@ -200,13 +250,6 @@ def md_from_flat_matrix(
 
 def md_identity(level_sizes: Sequence[int]) -> MatrixDiagram:
     """The MD of the identity matrix over the product space."""
-    terms = [
-        (
-            1.0,
-            [
-                {(s, s): 1.0 for s in range(size)}
-                for size in level_sizes
-            ],
-        )
-    ]
-    return md_from_kronecker_terms(terms, level_sizes)
+    return md_from_kronecker_terms(
+        [(1.0, [None] * len(level_sizes))], level_sizes
+    )

@@ -10,7 +10,7 @@ support iff some entry touches it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.errors import MatrixDiagramError
 from repro.matrixdiagram.formal_sum import FormalSum
@@ -35,7 +35,7 @@ class MDNode:
         Required explicitly so an all-zero node still knows its kind.
     """
 
-    __slots__ = ("level", "terminal", "_entries")
+    __slots__ = ("level", "terminal", "_entries", "_children")
 
     def __init__(
         self,
@@ -69,6 +69,7 @@ class MDNode:
                 if not entry.is_zero():
                     cleaned[(row, col)] = entry
         self._entries = cleaned
+        self._children: Optional[Tuple[int, ...]] = None
 
     # ------------------------------------------------------------------
     # accessors
@@ -107,13 +108,16 @@ class MDNode:
         return max(max(r, c) for (r, c) in self._entries)
 
     def children(self) -> Tuple[int, ...]:
-        """All next-level node indices referenced by this node, sorted."""
-        if self.terminal:
-            return ()
-        refs = set()
-        for entry in self._entries.values():
-            refs.update(entry.children())
-        return tuple(sorted(refs))
+        """All next-level node indices referenced by this node, sorted
+        (worked out on the first call; nodes are immutable)."""
+        if self._children is None:
+            refs = set()
+            if not self.terminal:
+                # Nodes share formal sums, so walk each distinct one once.
+                for entry in set(self._entries.values()):
+                    refs.update(entry.children())
+            self._children = tuple(sorted(refs))
+        return self._children
 
     # ------------------------------------------------------------------
     # row/col aggregation used by the lumping key functions
@@ -157,14 +161,16 @@ class MDNode:
         Quasi-reduction merges nodes with equal keys (the paper's
         requirement that "at any level, no two nodes are equal").
         """
+        # Sorting the (unique) positions orders the entries as sorting
+        # the items would, without a (position, formal sum) pair per
+        # entry: such pairs stay tracked by the garbage collector and, on
+        # nodes of 10^5 entries, set off full collections.
+        entries = self._entries
         if self.terminal:
-            body = tuple(
-                (rc, quantize(v)) for rc, v in sorted(self._entries.items())
-            )
+            body = tuple((rc, quantize(entries[rc])) for rc in sorted(entries))
         else:
             body = tuple(
-                (rc, entry.signature)
-                for rc, entry in sorted(self._entries.items())
+                (rc, entries[rc].signature) for rc in sorted(entries)
             )
         return (self.level, self.terminal, body)
 

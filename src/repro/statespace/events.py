@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.errors import ModelError, StateSpaceError
 from repro.kronecker.descriptor import KroneckerDescriptor
+from repro.matrixdiagram.build import md_from_kronecker_terms
 from repro.matrixdiagram.md import MatrixDiagram
-from repro.kronecker.to_md import descriptor_to_md
 
 
 class LevelSpace:
@@ -92,8 +92,10 @@ class Event:
         weight: float,
         effects: Mapping[int, LevelEffect],
     ) -> None:
-        if weight < 0:
-            raise ModelError(f"event {name!r} has negative weight {weight}")
+        if not weight >= 0:
+            raise ModelError(
+                f"event {name!r} has weight {weight}; weights must be >= 0"
+            )
         self.name = name
         self.weight = float(weight)
         cleaned: Dict[int, LevelEffect] = {}
@@ -308,26 +310,43 @@ class EventModel:
         levels."""
         descriptor = KroneckerDescriptor(self.level_sizes())
         for event in self.events:
-            factors: List[Optional[Dict[Tuple[int, int], float]]] = [
-                None
-            ] * self.num_levels
-            for level, table in event.effects.items():
-                entries: Dict[Tuple[int, int], float] = {}
-                for source, options in table.items():
-                    for target, factor in options:
-                        key = (source, target)
-                        entries[key] = entries.get(key, 0.0) + factor
-                factors[level - 1] = entries
-            descriptor.add_term(event.weight, factors)
+            descriptor.add_term(event.weight, self._factors(event))
         return descriptor
 
     def to_md(self) -> MatrixDiagram:
         """The (reduced) MD of the model's rate matrix ``R``, labeled with
-        the levels' substate labels."""
-        return descriptor_to_md(
-            self.kronecker_descriptor(),
+        the levels' substate labels.
+
+        The event tables go to :func:`md_from_kronecker_terms` as they
+        are: one term per event, its factors summed per (source, target)
+        in option order and sorted by (source, target), ``None`` on the
+        levels it leaves untouched.  Those are the values and the order
+        :meth:`kronecker_descriptor` gives, so the MD is the descriptor's,
+        node for node and bit for bit.
+        """
+        return md_from_kronecker_terms(
+            ((event.weight, self._factors(event)) for event in self.events),
+            self.level_sizes(),
             level_state_labels=[level.labels for level in self.levels],
         )
+
+    def _factors(
+        self, event: Event
+    ) -> List[Optional[Dict[Tuple[int, int], float]]]:
+        """``W_i^e`` for every level: the factors summed per (source,
+        target) in option order, sorted by (source, target); ``None``
+        (the identity) on levels ``event`` does not touch."""
+        factors: List[Optional[Dict[Tuple[int, int], float]]] = [
+            None
+        ] * self.num_levels
+        for level, table in event.effects.items():
+            entries: Dict[Tuple[int, int], float] = {}
+            for source, options in table.items():
+                for target, factor in options:
+                    key = (source, target)
+                    entries[key] = entries.get(key, 0.0) + factor
+            factors[level - 1] = dict(sorted(entries.items()))
+        return factors
 
     def restricted_events(
         self, allowed: Sequence[Iterable[int]]
@@ -380,6 +399,15 @@ def project_event_model(
     if len(supports) != model.num_levels:
         raise ModelError("need one support per level")
     keep: List[List[int]] = [sorted(set(s)) for s in supports]
+    for level_number, (level, kept) in enumerate(
+        zip(model.levels, keep), start=1
+    ):
+        outside = [s for s in kept if not 0 <= s < len(level)]
+        if outside:
+            raise StateSpaceError(
+                f"support of level {level_number} ({level.name!r}, size "
+                f"{len(level)}) has substate {outside[0]} outside the level"
+            )
     position: List[Dict[int, int]] = [
         {substate: i for i, substate in enumerate(kept)} for kept in keep
     ]

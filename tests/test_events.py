@@ -60,6 +60,12 @@ class TestEvent:
         with pytest.raises(ModelError):
             Event("e", 1.0, {1: {0: [(1, -2.0)]}})
 
+    def test_nan_weight_rejected(self):
+        """``weight < 0`` is False for NaN; BFS never fires such an event,
+        but the MD would carry ``nan * factor`` in its root."""
+        with pytest.raises(ModelError, match="weights must be >= 0"):
+            Event("e", float("nan"), {1: {0: [(1, 1.0)]}, 2: {0: [(1, 1.0)]}})
+
     def test_levels_and_top(self):
         e = Event("e", 1.0, {3: {0: [(0, 1.0)]}, 2: {0: [(0, 1.0)]}})
         assert e.levels() == (2, 3)
@@ -157,6 +163,23 @@ class TestProjection:
         m = token_ring_model()
         with pytest.raises(StateSpaceError):
             project_event_model(m, [[0], [0, 1]])
+
+    @pytest.mark.parametrize("level, substate", [(1, -1), (1, 3), (2, 2)])
+    def test_support_outside_level_rejected(self, level, substate):
+        """A negative substate used to pick a label from the end of the
+        level and silently drop its options; one at or past the level's
+        size raised a bare ``IndexError``."""
+        l1 = LevelSpace("pool", ["x", "y", "z"])
+        l2 = LevelSpace("site", ["a", "b"])
+        step = Event("step", 1.0, {1: {2: [(0, 1.0)], 0: [(2, 1.0)]}})
+        m = EventModel([l1, l2], [step], ["x", "a"])
+        supports = [[0, 1], [0, 1]]
+        supports[level - 1] = [0, substate]
+        with pytest.raises(
+            StateSpaceError,
+            match=rf"support of level {level} .* has substate {substate} ",
+        ):
+            project_event_model(m, supports)
 
     def test_projection_identity_when_full(self):
         m = token_ring_model()

@@ -41,6 +41,12 @@ class TestDescriptor:
         with pytest.raises(ModelError):
             d.add_term(1.0, [{(5, 0): 1.0}])
 
+    @pytest.mark.parametrize("entry", [(-1, 0), (0, -1)])
+    def test_negative_entry_rejected(self, entry):
+        d = KroneckerDescriptor((2,))
+        with pytest.raises(ModelError, match="outside component 0"):
+            d.add_term(1.0, [{entry: 1.0}])
+
     def test_wrong_factor_count_rejected(self):
         d = KroneckerDescriptor((2, 2))
         with pytest.raises(ModelError):
