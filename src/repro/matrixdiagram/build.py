@@ -44,11 +44,9 @@ def matrix_entries(matrix: MatrixLike) -> Dict[Tuple[int, int], float]:
         }
     if sparse.issparse(matrix):
         coo = matrix.tocoo()
-        return {
-            (int(r), int(c)): float(v)
-            for r, c, v in zip(coo.row, coo.col, coo.data)
-            if float(v) != 0.0
-        }
+        kept = coo.data != 0
+        keys = zip(coo.row[kept].tolist(), coo.col[kept].tolist())
+        return dict(zip(keys, coo.data[kept].astype(float).tolist()))
     array = np.asarray(matrix, dtype=float)
     if array.ndim != 2:
         raise MatrixDiagramError("level matrices must be 2-dimensional")

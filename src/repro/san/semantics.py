@@ -14,8 +14,8 @@ Kronecker/MD form — no factorization assumption is needed.
 
 Each submodel compiles in one enumerate-and-record pass: the pass closes
 its level of private markings a frontier at a time, firing each activity
-once per context, keeps the outcomes, and the event tables are built from
-those records once the level is complete and sorted.
+once per context, keeps the outcomes, and once the level is complete and
+sorted hands them to the events as option columns, the tables' one form.
 
 * A shared activity fires in every (private marking, shared marking)
   pair, since its event depends on both.
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Dict, List, NoReturn, Optional, Set, Tuple
@@ -55,7 +54,7 @@ import numpy as np
 from repro.errors import ModelError, StateSpaceError
 from repro.san.composition import Join
 from repro.san.model import Activity, Marking
-from repro.statespace.events import Event, EventModel, LevelEffect, LevelSpace
+from repro.statespace.events import Columns, Event, EventModel, LevelSpace
 
 _PROBABILITY_TOL = 1e-9
 #: Why a ``shared=False`` declaration is wrong.
@@ -65,8 +64,6 @@ _DEPENDS = "its behaviour depends on shared places"
 _CHUNK_ROWS = 1 << 18
 
 Label = Tuple[int, ...]
-#: Sync effect tables keyed by (shared source, shared target) index pair.
-SyncTables = Dict[Tuple[int, int], LevelEffect]
 
 
 @dataclass
@@ -93,10 +90,9 @@ class CompiledModel:
     def marking_of_state(self, state: Tuple[int, ...]) -> Marking:
         """The full marking of a global state (per-level indices)."""
         marking: Marking = {}
-        for level, substate in enumerate(state, start=1):
-            label = self.event_model.levels[level - 1].label(substate)
-            for name, value in zip(self.level_place_names[level - 1], label):
-                marking[name] = value
+        labels = self.event_model.state_labels(state)
+        for names, label in zip(self.level_place_names, labels):
+            marking.update(zip(names, label))
         return marking
 
 
@@ -182,30 +178,21 @@ def compile_join(
         submodel.close()
         if declaration_error is None:
             declaration_error = submodel.declaration_error()
-        states, local_table, sync_tables = submodel.tables()
+        states, tables = submodel.tables()
         dropped += submodel.dropped
         stats["firings"] += submodel.firings
         stats["evaluations"] += submodel.evaluations
         level_spaces.append(LevelSpace(model.name, states))
         level_names.append(model.name)
         level_place_names.append(join.private_place_names(k))
-        if local_table:
-            events.append(
-                Event(f"{model.name}.local", 1.0, {level: local_table})
-            )
-            stats["local_events"] += 1
-        for (s1_source, s1_target), table in sorted(sync_tables.items()):
-            events.append(
-                Event(
-                    f"{model.name}.sync[{s1_source}->{s1_target}]",
-                    1.0,
-                    {
-                        1: {s1_source: [(s1_target, 1.0)]},
-                        level: table,
-                    },
-                )
-            )
-            stats["shared_events"] += 1
+        for pair, table in tables:
+            if pair is None:
+                name, effects = f"{model.name}.local", {level: table}
+            else:
+                name = f"{model.name}.sync[{pair[0]}->{pair[1]}]"
+                effects = {1: {pair[0]: [(pair[1], 1.0)]}, level: table}
+            events.append(Event(name, 1.0, effects))
+            stats["shared_events" if pair else "local_events"] += 1
     if declaration_error is not None:
         raise declaration_error
 
@@ -284,6 +271,7 @@ class _SubmodelPass:
     ) -> None:
         self.model = join.submodels[submodel_index]
         self.names = join.private_place_names(submodel_index)
+        self._own = dict.fromkeys((p.name for p in self.model.places), 0)
         self.max_states = max_states
         activities = self.model.activities
         places = join.shared_places + join.private_places[submodel_index]
@@ -361,51 +349,43 @@ class _SubmodelPass:
                 )
         return None
 
-    def tables(self) -> Tuple[List[Label], LevelEffect, SyncTables]:
-        """The sorted level, its local table and its sync tables.
-
-        Rows go in activity by activity, by shared marking and source
-        index, then a local activity's by target index and rate and a
-        shared one's cases in firing order: that fixes the key and option
-        order of the merged tables.  The rows are read from flat arrays,
-        which leave no small objects scattered through memory: with tuple
-        records, the stages after compilation at Table 1 J=2 (saturation,
-        projection, MD build, lumping) took about 10% longer.
-        """
+    def tables(
+        self,
+    ) -> Tuple[List[Label], List[Tuple[Optional[Tuple[int, int]], Columns]]]:
+        """The sorted level and its event tables as option columns: the
+        local table (pair ``None``), then one per (shared source, shared
+        target) pair, sorted.  Rows go in activity by activity, by shared
+        marking and source index, then a local activity's by target index
+        and rate and a shared one's cases in firing order: that fixes the
+        source and option order of the merged tables."""
         codes = np.array(self._codes, dtype=self.dtype)
         order = np.argsort(codes)
         rank = np.empty(len(codes), dtype=np.int64)
         rank[order] = np.arange(len(codes))
-        indices = rank.tolist()
         labels = list(map(tuple, self._decode(codes[order]).tolist()))
-        local_table: LevelEffect = {}
-        sync_tables: SyncTables = {}
         if not self._rows:
-            return labels, local_table, sync_tables
+            return labels, []
         activity, s1, source, s1_target, target, rate = (
             np.concatenate(column) for column in zip(*self._rows)
         )
         self._rows = []
         local = ~self.activity_shared[activity]
+        n = len(self.shared_states)
+        table = np.where(local, -1, s1 * n + s1_target)
         order = np.lexsort(
             (rate * local, rank[target] * local, rank[source], s1, activity)
+            + (table,)
         )
-        columns = [local[order].tolist()]
-        columns += [array("q", c[order].tobytes()) for c in (s1, source)]
-        columns += [array("q", c[order].tobytes()) for c in (s1_target, target)]
-        columns.append(array("d", rate[order].tobytes()))
-        # Only the flat arrays stay while the tables grow.
-        del activity, s1, source, s1_target, target, rate, local, order
-        for is_local, s1_index, source, s1_target, target, rate in zip(
-            *columns
-        ):
-            if is_local:
-                options = local_table.setdefault(indices[source], [])
-            else:
-                table = sync_tables.setdefault((s1_index, s1_target), {})
-                options = table.setdefault(indices[source], [])
-            options.append((indices[target], rate))
-        return labels, local_table, sync_tables
+        table = table[order]
+        columns = (rank[source[order]], rank[target[order]], rate[order])
+        starts = np.flatnonzero(np.diff(table, prepend=-2))
+        return labels, [
+            (None if key < 0 else divmod(key, n), table_columns)
+            for key, *table_columns in zip(
+                table[starts].tolist(),
+                *(np.split(column, starts[1:]) for column in columns),
+            )
+        ]
 
     def _decode(self, codes: np.ndarray) -> np.ndarray:
         """The private values of label codes, a row each."""
@@ -592,8 +572,12 @@ class _SubmodelPass:
         found = [self._ids.get(code) for code in met]
         new = [i for i, known in enumerate(found) if known is None]
         admitted = []
+        # Targets are within the capacities, so the local invariant is
+        # the one check left: on ``check_marking``'s own-places marking.
+        invariant = self.model.local_invariant
         for i, label in zip(new, self._decode(unique[new]).tolist()):
-            if not self.model.check_marking(dict(zip(self.names, label))):
+            own = {**self._own, **dict(zip(self.names, label))}
+            if invariant is not None and not invariant(own):
                 found[i] = -1
             elif met[i] == self._initial_code:
                 found[i] = 0

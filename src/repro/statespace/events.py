@@ -15,16 +15,20 @@ Semantics of an event ``e`` in global state ``s = (s_1, .., s_L)``:
 * otherwise each combination of per-level options ``(t_i, f_i)`` yields a
   transition ``s -> t`` with rate ``weight(e) * prod_i f_i``.
 
-:class:`SuccessorTables` applies the same semantics to a whole set of
-states at once, encoded as ``int64`` mixed-radix codes.
+An event stores each touched level's table as option columns
+(:attr:`Event.tables`), the one form from the SAN compiler to the MD
+build.  :class:`SuccessorTables` fires them on whole arrays of ``int64``
+state codes, the projection gathers them through position arrays, and
+``to_md`` sums them; per-state readers use :attr:`Event.options`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import ModelError, StateSpaceError
 from repro.kronecker.descriptor import KroneckerDescriptor
@@ -62,7 +66,12 @@ class LevelSpace:
             ) from None
 
     def label(self, index: int) -> Hashable:
-        """Label at ``index``."""
+        """Label at ``index``; raises if ``index`` is outside the level."""
+        if not 0 <= index < len(self._labels):
+            raise StateSpaceError(
+                f"substate {index} outside level {self.name!r} "
+                f"(size {len(self._labels)})"
+            )
         return self._labels[index]
 
     @property
@@ -76,21 +85,33 @@ class LevelSpace:
 
 #: Per-level effect: local state index -> list of (target index, factor>0).
 LevelEffect = Dict[int, List[Tuple[int, float]]]
+#: A level's table as stored: ``int64`` sources and targets and ``float64``
+#: factors, one entry per option, the options grouped by source.
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: A level's options by local state, as per-state readers look them up.
+Options = Dict[int, Tuple[Tuple[int, float], ...]]
+
+
+def _shared(column: np.ndarray) -> List:
+    """``column.tolist()``, with one Python object per distinct value."""
+    values, index = np.unique(column, return_inverse=True)
+    return np.array(values.tolist(), dtype=object)[index].tolist()
 
 
 class Event:
     """One event of an :class:`EventModel`.
 
-    ``effects`` maps 1-based level numbers to :data:`LevelEffect` tables.
+    ``effects`` maps 1-based level numbers to :data:`LevelEffect` tables
+    or to option columns ``(sources, targets, factors)`` in option order.
     Levels not in ``effects`` are untouched (identity).  A local state
-    missing from a touched level's table disables the event there.
+    without options on a touched level disables the event there.
     """
 
     def __init__(
         self,
         name: str,
         weight: float,
-        effects: Mapping[int, LevelEffect],
+        effects: Mapping[int, Union[LevelEffect, Sequence]],
     ) -> None:
         if not weight >= 0:
             raise ModelError(
@@ -98,29 +119,64 @@ class Event:
             )
         self.name = name
         self.weight = float(weight)
-        cleaned: Dict[int, LevelEffect] = {}
+        #: Per touched level, in the order given: its table, grouped by
+        #: source in first-given order, the options with factor 0 dropped.
+        self.tables: Dict[int, Columns] = {}
         for level, table in effects.items():
-            level_table: LevelEffect = {}
-            for source, options in table.items():
-                kept = [
-                    (int(t), float(f)) for (t, f) in options if float(f) != 0.0
-                ]
-                if any(f < 0 for _t, f in kept):
-                    raise ModelError(
-                        f"event {name!r} has a negative factor at level {level}"
-                    )
-                if kept:
-                    level_table[int(source)] = kept
-            cleaned[int(level)] = level_table
-        self.effects = cleaned
+            if isinstance(table, Mapping):
+                table = [(s, t, f) for s, ts in table.items() for t, f in ts]
+                table = tuple(zip(*table)) or ((), (), ())
+            sources, targets, factors = (
+                np.asarray(column, dtype)
+                for column, dtype in zip(table, (np.int64, np.int64, float))
+            )
+            _, first, group = np.unique(
+                sources, return_index=True, return_inverse=True
+            )
+            order = np.argsort(first[group], kind="stable")
+            kept = order[factors[order] != 0.0]
+            if np.any(factors[kept] < 0):
+                raise ModelError(
+                    f"event {name!r} has a negative factor at level {level}"
+                )
+            self.tables[int(level)] = tuple(
+                column[kept] for column in (sources, targets, factors)
+            )
+        self._options: Optional[Dict[int, Options]] = None
+
+    @property
+    def options(self) -> Dict[int, Options]:
+        """Per touched level, local state -> its ``(target, factor)``
+        options, in table order: the lookup of :meth:`EventModel._fire`
+        and the MDD image, built on first use.  Equal values share one
+        object, which saves a third of its memory."""
+        if self._options is None:
+            self._options = {}
+            for level, (sources, targets, factors) in self.tables.items():
+                change = np.diff(sources, prepend=sources[:1] - 1)
+                bounds = np.flatnonzero(change).tolist() + [len(sources)]
+                pairs = list(zip(_shared(targets), _shared(factors)))
+                self._options[level] = {
+                    sources[begin].item(): tuple(pairs[begin:end])
+                    for begin, end in zip(bounds, bounds[1:])
+                }
+        return self._options
+
+    @property
+    def effects(self) -> Dict[int, LevelEffect]:
+        """:attr:`options` as :data:`LevelEffect` dicts (a new copy)."""
+        return {
+            level: {source: list(options) for source, options in table.items()}
+            for level, table in self.options.items()
+        }
 
     def levels(self) -> Tuple[int, ...]:
         """The levels this event touches, sorted."""
-        return tuple(sorted(self.effects))
+        return tuple(sorted(self.tables))
 
     def top_level(self) -> int:
         """Highest (closest-to-root) level touched; used by saturation."""
-        return min(self.effects) if self.effects else 1
+        return min(self.tables) if self.tables else 1
 
     def __repr__(self) -> str:
         return f"Event({self.name!r}, weight={self.weight}, levels={self.levels()})"
@@ -151,24 +207,23 @@ class EventModel:
             self._check_event(event)
 
     def _check_event(self, event: Event) -> None:
-        for level, table in event.effects.items():
+        for level, (sources, targets, _factors) in event.tables.items():
             if not 1 <= level <= len(self.levels):
                 raise ModelError(
                     f"event {event.name!r} touches invalid level {level}"
                 )
             size = len(self.levels[level - 1])
-            for source, options in table.items():
-                if not 0 <= source < size:
-                    raise ModelError(
-                        f"event {event.name!r}: source {source} outside "
-                        f"level {level} of size {size}"
-                    )
-                for target, _factor in options:
-                    if not 0 <= target < size:
-                        raise ModelError(
-                            f"event {event.name!r}: target {target} outside "
-                            f"level {level} of size {size}"
-                        )
+            outside = (sources < 0) | (sources >= size)
+            bad = outside | (targets < 0) | (targets >= size)
+            if bad.any():
+                # The first bad option; a source is named before a target.
+                i = int(np.argmax(bad))
+                kind = "source" if outside[i] else "target"
+                value = sources[i] if outside[i] else targets[i]
+                raise ModelError(
+                    f"event {event.name!r}: {kind} {value} outside "
+                    f"level {level} of size {size}"
+                )
 
     # ------------------------------------------------------------------
     # sizes / encodings
@@ -190,6 +245,7 @@ class EventModel:
     def encode(self, state: Sequence[int]) -> int:
         """Mixed-radix flat index of a global state (top level most
         significant, matching the MD flattening order)."""
+        self.state_labels(state)  # raises for a state outside the levels
         index = 0
         for digit, level in zip(state, self.levels):
             index = index * len(level) + digit
@@ -197,6 +253,10 @@ class EventModel:
 
     def decode(self, index: int) -> Tuple[int, ...]:
         """Inverse of :meth:`encode`."""
+        if not 0 <= index < self.potential_size():
+            raise StateSpaceError(
+                f"state index {index} outside 0..{self.potential_size() - 1}"
+            )
         digits = []
         for level in reversed(self.levels):
             digits.append(index % len(level))
@@ -204,10 +264,14 @@ class EventModel:
         return tuple(reversed(digits))
 
     def state_labels(self, state: Sequence[int]) -> Tuple[Hashable, ...]:
-        """The label tuple of a global state given by indices."""
-        return tuple(
-            level.label(s) for level, s in zip(self.levels, state)
-        )
+        """The label tuple of a global state given by indices; raises
+        unless it has one substate inside each level."""
+        if len(state) != self.num_levels:
+            raise StateSpaceError(
+                f"state {tuple(state)} has {len(state)} components, "
+                f"expected one per level ({self.num_levels})"
+            )
+        return tuple(level.label(s) for level, s in zip(self.levels, state))
 
     def encode_states(self, states: Sequence[Sequence[int]]) -> np.ndarray:
         """:meth:`encode` of many states at once, as ``int64`` codes.
@@ -279,9 +343,9 @@ class EventModel:
         self, event: Event, state: Tuple[int, ...]
     ) -> Iterator[Tuple[Tuple[int, ...], float]]:
         touched = event.levels()
-        per_level_options: List[List[Tuple[int, float]]] = []
+        per_level_options: List[Tuple[Tuple[int, float], ...]] = []
         for level in touched:
-            options = event.effects[level].get(state[level - 1])
+            options = event.options[level].get(state[level - 1])
             if not options:
                 return
             per_level_options.append(options)
@@ -317,12 +381,9 @@ class EventModel:
         """The (reduced) MD of the model's rate matrix ``R``, labeled with
         the levels' substate labels.
 
-        The event tables go to :func:`md_from_kronecker_terms` as they
-        are: one term per event, its factors summed per (source, target)
-        in option order and sorted by (source, target), ``None`` on the
-        levels it leaves untouched.  Those are the values and the order
-        :meth:`kronecker_descriptor` gives, so the MD is the descriptor's,
-        node for node and bit for bit.
+        Each event is one term of :func:`md_from_kronecker_terms`, its
+        :meth:`_factors`: the descriptor's values and order, so the MD is
+        the descriptor's, node for node and bit for bit.
         """
         return md_from_kronecker_terms(
             ((event.weight, self._factors(event)) for event in self.events),
@@ -330,22 +391,22 @@ class EventModel:
             level_state_labels=[level.labels for level in self.levels],
         )
 
-    def _factors(
-        self, event: Event
-    ) -> List[Optional[Dict[Tuple[int, int], float]]]:
-        """``W_i^e`` for every level: the factors summed per (source,
-        target) in option order, sorted by (source, target); ``None``
-        (the identity) on levels ``event`` does not touch."""
-        factors: List[Optional[Dict[Tuple[int, int], float]]] = [
-            None
-        ] * self.num_levels
-        for level, table in event.effects.items():
-            entries: Dict[Tuple[int, int], float] = {}
-            for source, options in table.items():
-                for target, factor in options:
-                    key = (source, target)
-                    entries[key] = entries.get(key, 0.0) + factor
-            factors[level - 1] = dict(sorted(entries.items()))
+    def _factors(self, event: Event) -> List[Optional[sparse.coo_matrix]]:
+        """``W_i^e`` for every level, as a COO matrix whose entries are
+        sorted by (source, target), each the sum of its options' factors
+        taken left to right in option order; ``None`` (the identity) on
+        levels ``event`` does not touch."""
+        factors: List[Optional[sparse.coo_matrix]] = [None] * self.num_levels
+        for level, (sources, targets, values) in event.tables.items():
+            size = len(self.levels[level - 1])
+            keys, group = np.unique(
+                sources * size + targets, return_inverse=True
+            )
+            # bincount adds each group's weights in input order.
+            sums = np.bincount(group, weights=values, minlength=len(keys))
+            factors[level - 1] = sparse.coo_matrix(
+                (sums, np.divmod(keys, size)), shape=(size, size)
+            )
         return factors
 
     def restricted_events(
@@ -356,25 +417,35 @@ class EventModel:
         allowed_sets = [set(states) for states in allowed]
         if len(allowed_sets) != self.num_levels:
             raise ModelError("need one allowed set per level")
-        new_events = []
+        kept = [
+            [s for s in states if 0 <= s < len(level)]
+            for level, states in zip(self.levels, allowed_sets)
+        ]
+        return self._gather(self.levels, kept, kept)
+
+    def _gather(
+        self, levels: List[LevelSpace], old: List, new: List
+    ) -> "EventModel":
+        """This model on ``levels``: per level, the substates ``old``
+        become ``new``, and the rest are dropped with every option that
+        touches them.  The options kept keep their order, and the initial
+        state keeps its labels."""
+        positions = []
+        for level, substates, renumbered in zip(self.levels, old, new):
+            position = np.full(len(level), -1, dtype=np.int64)
+            position[substates] = renumbered
+            positions.append(position)
+        events = []
         for event in self.events:
-            effects: Dict[int, LevelEffect] = {}
-            for level, table in event.effects.items():
-                keep: LevelEffect = {}
-                for source, options in table.items():
-                    if source not in allowed_sets[level - 1]:
-                        continue
-                    kept = [
-                        (t, f)
-                        for t, f in options
-                        if t in allowed_sets[level - 1]
-                    ]
-                    if kept:
-                        keep[source] = kept
-                effects[level] = keep
-            new_events.append(Event(event.name, event.weight, effects))
+            tables = {}
+            for level, (sources, targets, factors) in event.tables.items():
+                position = positions[level - 1]
+                sources, targets = position[sources], position[targets]
+                kept = (sources >= 0) & (targets >= 0)
+                tables[level] = (sources[kept], targets[kept], factors[kept])
+            events.append(Event(event.name, event.weight, tables))
         initial_labels = self.state_labels(self.initial_state)
-        return EventModel(self.levels, new_events, initial_labels)
+        return EventModel(levels, events, initial_labels)
 
     def __repr__(self) -> str:
         return (
@@ -408,64 +479,18 @@ def project_event_model(
                 f"support of level {level_number} ({level.name!r}, size "
                 f"{len(level)}) has substate {outside[0]} outside the level"
             )
-    position: List[Dict[int, int]] = [
-        {substate: i for i, substate in enumerate(kept)} for kept in keep
-    ]
     new_levels = [
         LevelSpace(level.name, [level.label(s) for s in kept])
         for level, kept in zip(model.levels, keep)
     ]
-    for level_number, (state, table) in enumerate(
-        zip(model.initial_state, position), start=1
+    for level_number, (state, kept) in enumerate(
+        zip(model.initial_state, keep), start=1
     ):
-        if state not in table:
+        if state not in kept:
             raise StateSpaceError(
                 f"initial substate of level {level_number} was projected away"
             )
-    new_events = []
-    for event in model.events:
-        effects: Dict[int, LevelEffect] = {}
-        for level, table in event.effects.items():
-            mapping = position[level - 1]
-            new_table: LevelEffect = {}
-            for source, options in table.items():
-                new_source = mapping.get(source)
-                if new_source is None:
-                    continue
-                kept_options = [
-                    (mapping[target], factor)
-                    for target, factor in options
-                    if target in mapping
-                ]
-                if kept_options:
-                    new_table[new_source] = kept_options
-            effects[level] = new_table
-        new_events.append(Event(event.name, event.weight, effects))
-    initial_labels = model.state_labels(model.initial_state)
-    return EventModel(new_levels, new_events, initial_labels)
-
-
-class _LevelTable:
-    """One event's effect on one level, as CSR lookup arrays: the options
-    of local state ``s`` are ``ptr[s]:ptr[s + 1]`` in ``targets`` (already
-    multiplied by the level's place value ``stride``) and ``factors``."""
-
-    __slots__ = ("stride", "size", "ptr", "targets", "factors")
-
-    def __init__(self, stride: int, size: int, table: LevelEffect) -> None:
-        counts = np.zeros(size, dtype=np.int64)
-        targets: List[int] = []
-        factors: List[float] = []
-        for source in sorted(table):
-            options = table[source]
-            counts[source] = len(options)
-            targets.extend(target for target, _factor in options)
-            factors.extend(factor for _target, factor in options)
-        self.stride = stride
-        self.size = size
-        self.ptr = np.concatenate(([0], np.cumsum(counts)))
-        self.targets = np.array(targets, dtype=np.int64) * stride
-        self.factors = np.array(factors, dtype=np.float64)
+    return model._gather(new_levels, keep, [range(len(k)) for k in keep])
 
 
 class SuccessorTables:
@@ -482,21 +507,28 @@ class SuccessorTables:
     def __init__(self, model: EventModel) -> None:
         sizes = model.level_sizes()
         strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
-        self._events: List[Tuple[float, List[_LevelTable], bool]] = []
+        #: Per event: the weight, per touched level (place value, size,
+        #: ``ptr``, targets times the place value, factors) with local
+        #: state ``s``'s options at ``ptr[s]:ptr[s + 1]``, and whether to
+        #: filter rates.
+        self._events: List[Tuple[float, List[Tuple], bool]] = []
         for event in model.events:
-            tables = [
-                _LevelTable(
-                    strides[level - 1], sizes[level - 1], event.effects[level]
-                )
-                for level in event.levels()
-            ]
-            if any(table.targets.size == 0 for table in tables):
+            tables = []
+            for level in event.levels():
+                sources, targets, factors = event.tables[level]
+                stride, size = strides[level - 1], sizes[level - 1]
+                order = np.argsort(sources, kind="stable")
+                counts = np.bincount(sources, minlength=size)
+                ptr = np.concatenate(([0], np.cumsum(counts)))
+                targets, factors = targets[order] * stride, factors[order]
+                tables.append((stride, size, ptr, targets, factors))
+            if any(len(table[-1]) == 0 for table in tables):
                 continue  # disabled in every state
             # Products of positive floats are monotone, so when the
             # smallest factor combination has a positive rate, all do.
             smallest = 1.0
             for table in tables:
-                smallest = smallest * float(table.factors.min())
+                smallest = smallest * float(table[-1].min())
             filtered = not event.weight * smallest > 0
             self._events.append((event.weight, tables, filtered))
 
@@ -514,25 +546,25 @@ class SuccessorTables:
     def _fire_all(
         codes: np.ndarray,
         weight: float,
-        tables: List[_LevelTable],
+        tables: List[Tuple],
         filtered: bool,
     ) -> np.ndarray:
         """One event fired in every state of ``codes``."""
         current = codes
         factor = np.ones(len(codes)) if filtered else None
-        for table in tables:
-            digit = current // table.stride % table.size
-            start = table.ptr[digit]
-            count = table.ptr[digit + 1] - start
+        for stride, size, ptr, targets, factors in tables:
+            digit = current // stride % size
+            start = ptr[digit]
+            count = ptr[digit + 1] - start
             # Row i expands to options start[i] .. start[i] + count[i];
             # rows without options disappear (the event is disabled).
             first = np.cumsum(count) - count
             option = np.arange(int(count.sum()))
             option += np.repeat(start - first, count)
-            current = np.repeat(current - digit * table.stride, count)
-            current += table.targets[option]
+            current = np.repeat(current - digit * stride, count)
+            current += targets[option]
             if factor is not None:
-                factor = np.repeat(factor, count) * table.factors[option]
+                factor = np.repeat(factor, count) * factors[option]
         if factor is not None:
             current = current[weight * factor > 0]
         return current

@@ -6,7 +6,8 @@ diagram.  Nodes are hash-consed in an :class:`MDDManager`, so set equality
 is pointer equality and fixpoint detection in reachability is O(1).
 
 The layout matches the MD: level 1 at the top.  Node 0 is the empty set
-(FALSE), node 1 the terminal TRUE.
+(FALSE), node 1 the terminal TRUE.  The image of an event reads its
+per-state lookup, ``Event.options``, built once from its option columns.
 """
 
 from __future__ import annotations
@@ -296,11 +297,12 @@ class MDDManager:
 
     def image(self, node: int, event) -> int:
         """The set of states reachable from ``node`` by firing ``event``
-        once (:class:`repro.statespace.events.Event` semantics; factors are
-        ignored beyond being positive, and an event of weight 0 never
-        fires)."""
+        once (:class:`repro.statespace.events.Event` semantics, read from
+        ``event.options``; factors are positive, so they are ignored, and
+        an event of weight 0 never fires)."""
         if not event.weight > 0:
             return FALSE
+        options = event.options
         memo: Dict[int, int] = {}
 
         def walk(current: int, level: int) -> int:
@@ -311,7 +313,7 @@ class MDDManager:
             cached = memo.get(current)
             if cached is not None:
                 return cached
-            table = event.effects.get(level)
+            table = options.get(level)
             result_children: Dict[int, int] = {}
             for substate, child in self.children(current):
                 child_image = walk(child, level + 1)
@@ -323,9 +325,7 @@ class MDDManager:
                         merged, child_image, {}
                     )
                 else:
-                    for target, factor in table.get(substate, ()):
-                        if factor <= 0:
-                            continue
+                    for target, _factor in table.get(substate, ()):
                         merged = result_children.get(target, FALSE)
                         result_children[target] = self._union(
                             merged, child_image, {}

@@ -192,3 +192,49 @@ class TestProjection:
         restricted = m.restricted_events([[0, 1], [0]])
         give = [e for e in restricted.events if e.name == "give"][0]
         assert give.effects[2] == {}
+
+
+class TestStatesOutsideTheLevels:
+    """A substate outside its level, or a state with the wrong number of
+    components, raises instead of reading a label from the end of a level,
+    truncating the state or aliasing another state's code."""
+
+    @staticmethod
+    def model():
+        levels = [
+            LevelSpace("first", ["a", "b", "c"]),
+            LevelSpace("second", ["u", "v"]),
+        ]
+        return EventModel(levels, [], ["a", "u"])
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_label(self, index):
+        with pytest.raises(
+            StateSpaceError, match=rf"substate {index} outside level 'x'"
+        ):
+            LevelSpace("x", ["a", "b", "c"]).label(index)
+
+    def test_state_labels_outside_levels(self):
+        with pytest.raises(
+            StateSpaceError, match="substate -1 outside level 'first'"
+        ):
+            self.model().state_labels((-1, -2))
+
+    def test_state_labels_too_few_components(self):
+        with pytest.raises(StateSpaceError, match="has 1 components"):
+            self.model().state_labels((0,))
+
+    @pytest.mark.parametrize(
+        "state, level",
+        [((1, 2), "second"), ((3, 0), "first"), ((0, -1), "second")],
+    )
+    def test_encode(self, state, level):
+        with pytest.raises(StateSpaceError, match=f"outside level '{level}'"):
+            self.model().encode(state)
+
+    @pytest.mark.parametrize("index", [-1, 6])
+    def test_decode(self, index):
+        with pytest.raises(
+            StateSpaceError, match=f"state index {index} outside"
+        ):
+            self.model().decode(index)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import CompositionError, ModelError
+from repro.errors import CompositionError, ModelError, StateSpaceError
 from repro.markov import steady_state
+from repro.models import redundant_units_join
 from repro.models.simple import closed_tandem_join
 from repro.san import Activity, Case, Join, Place, SANModel, compile_join
 from repro.statespace import reachable_bfs
@@ -214,3 +215,16 @@ class TestCompiler:
         reach = reachable_bfs(compiled.event_model)
         ctmc = reach.to_ctmc()
         assert ctmc.is_irreducible()
+
+
+@pytest.mark.parametrize(
+    "state, match",
+    [((-1, 0, 0), "substate -1 outside level 'shared'"),
+     ((0,), "has 1 components")],
+)
+def test_marking_of_state_outside_levels_raises(state, match):
+    """A substate outside its level used to read the marking of a label
+    from the end of the level, and a short state a partial marking."""
+    compiled = compile_join(redundant_units_join(2, 1))
+    with pytest.raises(StateSpaceError, match=match):
+        compiled.marking_of_state(state)
