@@ -1,5 +1,7 @@
-"""Reachability engine comparison: explicit BFS vs MDD chaining vs
-saturation (the technique the paper credits for 10^1000-state MDs)."""
+"""Reachability engine comparison: explicit BFS vs symbolic saturation
+(the technique the paper credits for 10^1000-state MDs).  Saturation is
+the one MDD fixpoint; the ``mdd`` and ``saturation`` engines enumerate
+its result and differ only in their engine label."""
 
 from repro.statespace import (
     reachable_bfs,
@@ -14,7 +16,7 @@ def test_bfs(benchmark, small_tandem_bench):
     assert result.num_states == small_tandem_bench["reach"].num_states
 
 
-def test_mdd_chaining(benchmark, small_tandem_bench):
+def test_mdd(benchmark, small_tandem_bench):
     model = small_tandem_bench["event_model"]
     result = benchmark(reachable_mdd, model)
     assert result.num_states == small_tandem_bench["reach"].num_states

@@ -225,7 +225,6 @@ def compositional_lump(
     kind: str = "ordinary",
     levels: Optional[Sequence[int]] = None,
     key: str = "formal",
-    strategy: str = "paper",
     iterate: bool = False,
     degrade: bool = False,
     report=None,
@@ -245,8 +244,6 @@ def compositional_lump(
     key:
         ``"formal"`` (paper) or ``"matrix"`` (ablation); see
         :func:`repro.lumping.local.comp_lumping_level`.
-    strategy:
-        Worklist strategy for the refinement engine.
     iterate:
         Extension beyond the paper's single pass: after lumping, lumped
         nodes that became structurally equal are merged (quasi-reduction),
@@ -271,7 +268,7 @@ def compositional_lump(
     """
     if not iterate:
         return _compositional_lump_once(
-            model, kind, levels, key, strategy, degrade, report
+            model, kind, levels, key, degrade, report
         )
     current = model
     composed: Optional[CompositionalLumpingResult] = None
@@ -281,7 +278,7 @@ def compositional_lump(
         # snapshot keys of successive passes never collide.
         with checkpoint.scoped(f"pass{pass_number}"):
             result = _compositional_lump_once(
-                current, kind, levels, key, strategy, degrade, report
+                current, kind, levels, key, degrade, report
             )
         pass_number += 1
         composed = result if composed is None else _compose_results(
@@ -345,7 +342,6 @@ def _compositional_lump_once(
     kind: str,
     levels: Optional[Sequence[int]],
     key: str,
-    strategy: str,
     degrade: bool = False,
     report=None,
 ) -> CompositionalLumpingResult:
@@ -380,10 +376,7 @@ def _compositional_lump_once(
             # and level k from its partial one.
             with checkpoint.scoped(f"level{level}"):
                 partitions.append(
-                    comp_lumping_level(
-                        md, level, start, kind=kind, key=key,
-                        strategy=strategy,
-                    )
+                    comp_lumping_level(md, level, start, kind=kind, key=key)
                 )
         except (LumpingError, BudgetExceeded) as exc:
             if not degrade:

@@ -150,23 +150,27 @@ def md_from_kronecker_terms(
     if num_levels == 0:
         raise MatrixDiagramError("need at least one level")
     builder = MDBuilder(level_sizes, level_state_labels)
-    term_list: List[
+
+    def converted_terms() -> Iterable[
         Tuple[float, List[Optional[Dict[Tuple[int, int], float]]]]
-    ] = []
-    for weight, matrices in terms:
-        matrices = list(matrices)
-        if len(matrices) != num_levels:
-            raise MatrixDiagramError(
-                f"term has {len(matrices)} level matrices, expected {num_levels}"
-            )
-        term_list.append(
-            (
+    ]:
+        # Each term's factors become dicts only when its chain is built,
+        # so one term's dicts are alive at a time, not every term's.
+        count = 0
+        for weight, matrices in terms:
+            matrices = list(matrices)
+            if len(matrices) != num_levels:
+                raise MatrixDiagramError(
+                    f"term has {len(matrices)} level matrices, "
+                    f"expected {num_levels}"
+                )
+            count += 1
+            yield (
                 float(weight),
                 [None if m is None else matrix_entries(m) for m in matrices],
             )
-        )
-    if not term_list:
-        raise MatrixDiagramError("need at least one Kronecker term")
+        if not count:
+            raise MatrixDiagramError("need at least one Kronecker term")
 
     def factor_items(
         level: int, matrix: Optional[Dict[Tuple[int, int], float]]
@@ -177,7 +181,7 @@ def md_from_kronecker_terms(
 
     if num_levels == 1:
         flat: Dict[Tuple[int, int], float] = {}
-        for weight, (matrix,) in term_list:
+        for weight, (matrix,) in converted_terms():
             for rc, value in factor_items(1, matrix):
                 flat[rc] = flat.get(rc, 0.0) + weight * value
         root = builder.add_node(1, flat)
@@ -198,7 +202,7 @@ def md_from_kronecker_terms(
     # (level, child) -> the identity node over ``child``.
     identities: Dict[Tuple[int, Optional[int]], int] = {}
     root_entries: Dict[Tuple[int, int], FormalSum] = {}
-    for weight, matrices in term_list:
+    for weight, matrices in converted_terms():
         # Build the chain bottom-up: terminal node first.
         child = None
         for level in range(num_levels, 1, -1):

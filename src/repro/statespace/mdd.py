@@ -43,8 +43,14 @@ class MDDManager:
 
         FALSE children are dropped; a node with no children collapses to
         FALSE.  (No TRUE-collapse across levels: tuples have fixed length,
-        so a full node is still a node.)
+        so a full node is still a node.)  A level outside ``1..L``, a
+        substate outside its level or a child that is not a node of the
+        next level raises :class:`StateSpaceError`.
         """
+        if not 1 <= level <= self.num_levels:
+            raise StateSpaceError(
+                f"level {level} outside 1..{self.num_levels}"
+            )
         items = tuple(
             sorted((s, c) for s, c in children.items() if c != FALSE)
         )
@@ -63,7 +69,12 @@ class MDDManager:
                         "bottom-level children must be TRUE"
                     )
             elif child != FALSE and child != TRUE:
-                child_level = self._nodes[child][0]
+                try:
+                    child_level = self._nodes[child][0]
+                except KeyError:
+                    raise StateSpaceError(
+                        f"unknown child node {child} at level {level}"
+                    ) from None
                 if child_level != expected_child_level:
                     raise StateSpaceError(
                         f"child at level {child_level}, expected "
@@ -196,7 +207,13 @@ class MDDManager:
         return result
 
     def contains(self, node: int, state: Sequence[int]) -> bool:
-        """Membership test."""
+        """Membership test; a state with other than one substate per level
+        raises :class:`StateSpaceError`."""
+        if len(state) != self.num_levels:
+            raise StateSpaceError(
+                f"state {tuple(state)} has {len(state)} components, "
+                f"expected {self.num_levels}"
+            )
         current = node
         for substate in state:
             if current == FALSE:
@@ -232,6 +249,10 @@ class MDDManager:
     def level_support(self, node: int, level: int) -> List[int]:
         """Substates of ``level`` that occur in at least one member state
         (the projection of the set onto that level)."""
+        if not 1 <= level <= self.num_levels:
+            raise StateSpaceError(
+                f"level {level} outside 1..{self.num_levels}"
+            )
         seen: set = set()
         visited: set = set()
 

@@ -1,15 +1,19 @@
 """Reachability analysis for event models.
 
-Two engines produce the same result:
+Two algorithms produce the same set:
 
 * :func:`reachable_bfs` — explicit breadth-first search, set-at-a-time:
   each round expands the whole frontier per event over ``int64`` state
   codes.  Fast for up to a few million states.
-* :func:`reachable_mdd` — symbolic fixpoint on MDDs with per-event image
-  computation (chaining).  Keeps the set symbolic, as the paper's symbolic
-  state-space generator [10] does.
+* saturation — the one symbolic fixpoint, on MDDs: events are grouped by
+  their top level and the set is closed bottom-up.  It keeps the set
+  symbolic, as the paper's symbolic state-space generator [10] does.
+  :func:`symbolic_reachability` returns it unenumerated; the ``mdd`` and
+  ``saturation`` engines (:func:`reachable_mdd`,
+  :func:`reachable_saturation`) enumerate it and differ only in their
+  engine label.
 
-Both return a :class:`ReachabilityResult`, which also knows how to
+The engines return a :class:`ReachabilityResult`, which also knows how to
 materialize the reachable-restricted CTMC (for flat verification and the
 unlumped baseline) and the per-level projections (the paper's per-level
 state-space sizes ``S1, S2, S3`` in Table 1).
@@ -230,21 +234,6 @@ def reachable_bfs(
     return result
 
 
-def reachable_mdd(model: EventModel, return_mdd: bool = False):
-    """Symbolic fixpoint: ``S <- S U image(S, e)`` for all events until
-    stable (event chaining).  Returns a :class:`ReachabilityResult`, plus
-    the final MDD id and manager when ``return_mdd`` is true.
-    """
-    faults.check("reachability.mdd")
-    manager = MDDManager(model.level_sizes())
-    current = _chain(manager, model)
-    states = sorted(manager.tuples(current))
-    result = ReachabilityResult.from_states(model, states, "mdd")
-    if return_mdd:
-        return result, current, manager
-    return result
-
-
 @dataclass
 class SymbolicStateSpace:
     """A reachable set kept symbolic (never enumerated).
@@ -286,69 +275,25 @@ class SymbolicStateSpace:
         return target.count(mapped)
 
 
-def symbolic_reachability(
-    model: EventModel, strategy: str = "saturation"
-) -> SymbolicStateSpace:
-    """Reachability that never enumerates states (for very large spaces).
+def symbolic_reachability(model: EventModel) -> SymbolicStateSpace:
+    """Reachability that never enumerates states (for very large spaces),
+    by saturation (Ciardo et al., cited as the paper's route to very large
+    state spaces).
 
-    ``strategy`` is ``"saturation"`` or ``"chaining"``.
+    Events are grouped by their *top level* (the highest level they
+    touch).  Working bottom-up, the state set is closed under all events
+    whose top level is at or below the current level before moving up, and
+    every upper-level firing is followed by re-closing the lower levels.
+    Exploits event locality: low events never disturb high levels, so
+    their fixpoints are computed once per upper configuration instead of
+    once per global iteration.
     """
     faults.check("reachability.mdd")
     manager = MDDManager(model.level_sizes())
-    if strategy == "saturation":
-        node = _saturate(manager, model)
-    elif strategy == "chaining":
-        node = _chain(manager, model)
-    else:
-        raise StateSpaceError(f"unknown strategy {strategy!r}")
+    node = _saturate(manager, model)
     return SymbolicStateSpace(
-        model=model, manager=manager, node=node, engine=strategy
+        model=model, manager=manager, node=node, engine="saturation"
     )
-
-
-def _chain(manager: MDDManager, model: EventModel) -> int:
-    node = manager.singleton(model.initial_state)
-    ck = checkpoint.active()
-    key = guard = None
-    if ck is not None:
-        key = ck.sequence_key("reachability.chain")
-        guard = _reach_guard(model, [model.initial_state])
-        record = ck.load(key, guard=guard)
-        if record is not None:
-            # Any snapshot S with seed <= S <= closure(seed) resumes
-            # exactly: the fixpoint is monotone, so closure(S) ==
-            # closure(seed).
-            node = manager.from_tuples(
-                [tuple(s) for s in record["payload"]["tuples"]]
-            )
-            if record["complete"]:
-                return node
-    try:
-        while True:
-            budgets.charge_iterations(1, stage="reachability")
-            previous = node
-            for event in model.events:
-                node = manager.union(node, manager.image(node, event))
-            if budgets.active_budget() is not None:
-                budgets.check_states(manager.count(node), stage="reachability")
-            if node == previous:
-                break
-            if ck is not None and ck.tick(key):
-                ck.save(
-                    key, {"tuples": sorted(manager.tuples(node))}, guard=guard
-                )
-    except BudgetExceeded:
-        if ck is not None:
-            ck.save(key, {"tuples": sorted(manager.tuples(node))}, guard=guard)
-        raise
-    if ck is not None:
-        ck.save(
-            key,
-            {"tuples": sorted(manager.tuples(node))},
-            guard=guard,
-            complete=True,
-        )
-    return node
 
 
 def _saturate(manager: MDDManager, model: EventModel) -> int:
@@ -376,6 +321,12 @@ def _saturate(manager: MDDManager, model: EventModel) -> int:
     # Last node/level observed at a budget hook, for the exception save.
     progress = {"node": current, "top": start_top}
 
+    def save(node: int, top: int, complete: bool = False) -> None:
+        # ``tuples`` enumerates in lexicographic order, so snapshots are
+        # sorted.
+        payload = {"tuples": list(manager.tuples(node)), "top": top}
+        ck.save(key, payload, guard=guard, complete=complete)
+
     def close_from(node: int, lowest_top: int) -> int:
         while True:
             budgets.charge_iterations(1, stage="reachability")
@@ -391,14 +342,7 @@ def _saturate(manager: MDDManager, model: EventModel) -> int:
             if node == previous:
                 return node
             if ck is not None and ck.tick(key):
-                ck.save(
-                    key,
-                    {
-                        "tuples": sorted(manager.tuples(node)),
-                        "top": lowest_top,
-                    },
-                    guard=guard,
-                )
+                save(node, lowest_top)
 
     try:
         for top in range(start_top, 0, -1):
@@ -407,44 +351,29 @@ def _saturate(manager: MDDManager, model: EventModel) -> int:
             progress["node"] = current
     except BudgetExceeded:
         if ck is not None:
-            ck.save(
-                key,
-                {
-                    "tuples": sorted(manager.tuples(progress["node"])),
-                    "top": progress["top"],
-                },
-                guard=guard,
-            )
+            save(progress["node"], progress["top"])
         raise
     if ck is not None:
-        ck.save(
-            key,
-            {"tuples": sorted(manager.tuples(current)), "top": 1},
-            guard=guard,
-            complete=True,
-        )
+        save(current, 1, complete=True)
     return current
 
 
-def reachable_saturation(model: EventModel, return_mdd: bool = False):
-    """Saturation-style symbolic reachability (Ciardo et al., cited as the
-    paper's route to very large state spaces).
+def _enumerated(model: EventModel, engine: str) -> ReachabilityResult:
+    """The saturation fixpoint's states, labeled ``engine``: the one body
+    of the ``mdd`` and ``saturation`` engines."""
+    symbolic = symbolic_reachability(model)
+    states = list(symbolic.manager.tuples(symbolic.node))
+    return ReachabilityResult.from_states(model, states, engine)
 
-    Events are grouped by their *top level* (the highest level they
-    touch).  Working bottom-up, the state set is closed under all events
-    whose top level is at or below the current level before moving up, and
-    every upper-level firing is followed by re-closing the lower levels.
-    Exploits event locality: low events never disturb high levels, so
-    their fixpoints are computed once per upper configuration instead of
-    once per global iteration.
-    """
-    faults.check("reachability.mdd")
-    manager = MDDManager(model.level_sizes())
-    # Saturate bottom-up: after closing under deep (local) events, each
-    # firing of a higher event is followed by re-closing everything below.
-    current = _saturate(manager, model)
-    states = sorted(manager.tuples(current))
-    result = ReachabilityResult.from_states(model, states, "saturation")
-    if return_mdd:
-        return result, current, manager
-    return result
+
+def reachable_mdd(model: EventModel) -> ReachabilityResult:
+    """The ``mdd`` engine: the symbolic fixpoint
+    (:func:`symbolic_reachability`), enumerated into a
+    :class:`ReachabilityResult`."""
+    return _enumerated(model, "mdd")
+
+
+def reachable_saturation(model: EventModel) -> ReachabilityResult:
+    """The ``saturation`` engine: :func:`reachable_mdd` under the label
+    ``"saturation"``."""
+    return _enumerated(model, "saturation")

@@ -37,7 +37,11 @@ from repro.robust.checkpoint import (
     digest,
 )
 from repro.robust.report import RunReport
-from repro.statespace import reachable_bfs
+from repro.statespace import (
+    reachable_bfs,
+    reachable_mdd,
+    symbolic_reachability,
+)
 
 SMALL = dict(cube_dim=2, msmq_servers=2, msmq_queues=2)
 
@@ -429,6 +433,21 @@ class TestRefinementResume:
         assert resumed_stats.blocks_created == clean_stats.blocks_created
 
 
+def _mdd_states(event_model):
+    return reachable_mdd(event_model).states
+
+
+def _symbolic_states(event_model):
+    symbolic = symbolic_reachability(event_model)
+    return list(symbolic.manager.tuples(symbolic.node))
+
+
+# The two entry points to the saturation fixpoint and its snapshots.
+SATURATION_RUNS = pytest.mark.parametrize(
+    "states_of", [_mdd_states, _symbolic_states], ids=["mdd", "symbolic"]
+)
+
+
 class TestReachabilityResume:
     def test_bfs_budget_kill_then_resume_same_states(
         self, small_tandem, tmp_path
@@ -452,6 +471,33 @@ class TestReachabilityResume:
         with Checkpointer(ck_dir, resume=True), Budget(max_states=1):
             again = reachable_bfs(event_model)
         assert again.states == first.states
+
+    @SATURATION_RUNS
+    def test_saturation_budget_kill_then_resume_same_states(
+        self, small_tandem, tmp_path, states_of
+    ):
+        event_model = small_tandem["event_model"]
+        clean = states_of(event_model)
+        ck_dir = str(tmp_path)
+        with pytest.raises(BudgetExceeded):
+            with Checkpointer(ck_dir), Budget(max_states=100):
+                states_of(event_model)
+        with Checkpointer(ck_dir, resume=True) as ck:
+            resumed = states_of(event_model)
+        assert any(e.kind == "resumed" for e in ck.events)
+        assert resumed == clean
+
+    @SATURATION_RUNS
+    def test_completed_saturation_is_skipped(
+        self, small_tandem, tmp_path, states_of
+    ):
+        event_model = small_tandem["event_model"]
+        ck_dir = str(tmp_path)
+        with Checkpointer(ck_dir):
+            first = states_of(event_model)
+        with Checkpointer(ck_dir, resume=True), Budget(max_states=1):
+            again = states_of(event_model)
+        assert again == first
 
 
 # ----------------------------------------------------------------------

@@ -198,10 +198,16 @@ class TestBuilders:
     def test_kronecker_builder_checks_arity(self):
         with pytest.raises(MatrixDiagramError):
             md_from_kronecker_terms([(1.0, [np.eye(2)])], (2, 2))
+        with pytest.raises(MatrixDiagramError):  # after a chain is built
+            md_from_kronecker_terms(
+                [(1.0, [np.eye(2), None]), (1.0, [np.eye(2)])], (2, 2)
+            )
 
     def test_kronecker_builder_needs_terms(self):
         with pytest.raises(MatrixDiagramError):
             md_from_kronecker_terms([], (2,))
+        with pytest.raises(MatrixDiagramError):
+            md_from_kronecker_terms([], (2, 2))
 
     def test_with_nodes_replaces_content(self):
         md = chain_md()

@@ -51,6 +51,29 @@ class TestConstruction:
         with pytest.raises(StateSpaceError):
             manager.from_tuples([(0, 9, 0)])
 
+    def test_make_level_out_of_range(self, manager):
+        top = manager.singleton((0, 0, 0))
+        with pytest.raises(StateSpaceError):
+            manager.make(0, {0: top})
+        with pytest.raises(StateSpaceError):
+            manager.make(4, {0: TRUE})
+
+    def test_make_unknown_child_rejected(self, manager):
+        with pytest.raises(StateSpaceError):
+            manager.make(2, {0: 99})
+
+    @pytest.mark.parametrize("state", [(0, 1), (1, 1, 0, 0)])
+    def test_contains_wrong_arity_rejected(self, manager, state):
+        node = manager.from_tuples([(0, 1, 0)])
+        with pytest.raises(StateSpaceError):
+            manager.contains(node, state)
+
+    @pytest.mark.parametrize("level", [0, 4])
+    def test_level_support_level_out_of_range(self, manager, level):
+        node = manager.from_tuples([(0, 1, 0)])
+        with pytest.raises(StateSpaceError):
+            manager.level_support(node, level)
+
 
 class TestSetOperations:
     def test_union_counts(self, manager):

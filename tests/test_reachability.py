@@ -83,11 +83,6 @@ class TestMDDReachability:
         mdd = reachable_mdd(model)
         assert bfs.states == mdd.states
 
-    def test_return_mdd(self):
-        model = ring_model(2)
-        result, node, manager = reachable_mdd(model, return_mdd=True)
-        assert manager.count(node) == result.num_states
-
 
 class TestSaturation:
     def test_matches_bfs_on_ring(self):
@@ -103,11 +98,6 @@ class TestSaturation:
         sat = reachable_saturation(model)
         assert sat.states == reachable_bfs(model).states
         assert sat.engine == "saturation"
-
-    def test_return_mdd(self):
-        model = ring_model(2)
-        result, node, manager = reachable_saturation(model, return_mdd=True)
-        assert manager.count(node) == result.num_states
 
     def test_local_events_only(self):
         # A model with only level-local events saturates level by level.

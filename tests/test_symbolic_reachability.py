@@ -4,8 +4,6 @@ import pytest
 
 from repro.errors import StateSpaceError
 from repro.models import TandemParams, build_tandem
-from repro.san import compile_join
-from repro.models.simple import closed_tandem_join
 from repro.statespace import (
     MDDManager,
     reachable_bfs,
@@ -32,21 +30,6 @@ class TestSymbolicStateSpace:
         explicit, symbolic = tandem_pair
         assert symbolic.level_supports() == explicit.level_supports()
         assert symbolic.level_sizes() == explicit.level_sizes()
-
-    def test_chaining_strategy_agrees(self):
-        compiled = compile_join(closed_tandem_join(jobs=2))
-        saturation = symbolic_reachability(
-            compiled.event_model, strategy="saturation"
-        )
-        chaining = symbolic_reachability(
-            compiled.event_model, strategy="chaining"
-        )
-        assert saturation.num_states == chaining.num_states
-
-    def test_unknown_strategy(self):
-        compiled = compile_join(closed_tandem_join(jobs=1))
-        with pytest.raises(StateSpaceError):
-            symbolic_reachability(compiled.event_model, strategy="magic")
 
     def test_mapped_count_identity(self, tandem_pair):
         explicit, symbolic = tandem_pair
