@@ -18,8 +18,9 @@ Semantics of an event ``e`` in global state ``s = (s_1, .., s_L)``:
 An event stores each touched level's table as option columns
 (:attr:`Event.tables`), the one form from the SAN compiler to the MD
 build.  :class:`SuccessorTables` fires them on whole arrays of ``int64``
-state codes, the projection gathers them through position arrays, and
-``to_md`` sums them; per-state readers use :attr:`Event.options`.
+state codes, the projection gathers them through position arrays,
+``to_md`` sums them and the MDD image reads them; per-state readers use
+:attr:`Event.options`.
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ class Event:
     @property
     def options(self) -> Dict[int, Options]:
         """Per touched level, local state -> its ``(target, factor)``
-        options, in table order: the lookup of :meth:`EventModel._fire`
-        and the MDD image, built on first use.  Equal values share one
-        object, which saves a third of its memory."""
+        options, in table order: the lookup of :meth:`EventModel._fire`,
+        built on first use.  Equal values share one object, which saves a
+        third of its memory."""
         if self._options is None:
             self._options = {}
             for level, (sources, targets, factors) in self.tables.items():

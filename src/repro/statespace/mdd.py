@@ -2,22 +2,47 @@
 
 An MDD here represents a set of tuples ``(s_1, .., s_L)`` with ``s_i`` in
 level i's local state space — the state-set companion of the matrix
-diagram.  Nodes are hash-consed in an :class:`MDDManager`, so set equality
-is pointer equality and fixpoint detection in reachability is O(1).
-
-The layout matches the MD: level 1 at the top.  Node 0 is the empty set
-(FALSE), node 1 the terminal TRUE.  The image of an event reads its
-per-state lookup, ``Event.options``, built once from its option columns.
+diagram.  The layout matches the MD: level 1 at the top.  Node 0 is the
+empty set (FALSE), node 1 the terminal TRUE.  Every other node is a dense
+``int32`` array of children, one per substate of its level, hash-consed
+in an :class:`MDDManager` on its level and bytes, so set equality is
+node equality.  The set operations run on whole child arrays; the image
+of an event reads its option columns (``Event.tables``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+import functools
+import itertools
+import math
+import operator
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import StateSpaceError
 
 FALSE = 0
 TRUE = 1
+
+
+def _integer(value) -> int:
+    """``value`` as an int, or -1 (outside every level) if it is not an
+    integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return -1
+
+
+def _remap(children: np.ndarray, image: Callable[[int], int]) -> np.ndarray:
+    """``children`` with each child ``c`` replaced by ``image(c)``, which is
+    called once per distinct child, in increasing order."""
+    counts = np.bincount(children, minlength=1)
+    lookup = np.zeros(len(counts), dtype=np.int32)
+    distinct = np.flatnonzero(counts)
+    lookup[distinct] = [image(child) for child in distinct.tolist()]
+    return lookup[children]
 
 
 class MDDManager:
@@ -28,10 +53,13 @@ class MDDManager:
             raise StateSpaceError("MDD needs at least one level")
         self.level_sizes = tuple(int(s) for s in level_sizes)
         self.num_levels = len(self.level_sizes)
-        # node id -> (level, ((substate, child), ..)) sorted by substate
-        self._nodes: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
-        self._unique: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], int] = {}
-        self._next_id = 2
+        # node -> its child array (None for the terminals) and its level
+        # (FALSE at 0, TRUE just below the bottom level), with spare room
+        self._children: List[np.ndarray] = [None, None]
+        self._levels = np.array([0, self.num_levels + 1], dtype=np.int64)
+        self._unique: Dict[Tuple[int, bytes], int] = {}
+        # (is union, smaller node, larger node) -> result
+        self._memo: Dict[Tuple[bool, int, int], int] = {}
         self._count_cache: Dict[int, int] = {FALSE: 0, TRUE: 1}
 
     # ------------------------------------------------------------------
@@ -44,68 +72,82 @@ class MDDManager:
         FALSE children are dropped; a node with no children collapses to
         FALSE.  (No TRUE-collapse across levels: tuples have fixed length,
         so a full node is still a node.)  A level outside ``1..L``, a
-        substate outside its level or a child that is not a node of the
-        next level raises :class:`StateSpaceError`.
+        substate that is not an integer inside its level or a child that
+        is not a node of the next level raises :class:`StateSpaceError`.
         """
+        self._check_level(level)
+        array = np.zeros(self.level_sizes[level - 1], dtype=np.int32)
+        for substate, child in children.items():
+            if child == FALSE:
+                continue
+            node = _integer(child)
+            if not 0 <= node < len(self._children):
+                raise StateSpaceError(
+                    f"unknown child node {child!r} at level {level}"
+                )
+            array[self._position(level, substate)] = node
+        return self._node(level, array)
+
+    def _position(self, level: int, substate) -> int:
+        """``substate`` as an index into ``level``; raises
+        :class:`StateSpaceError` unless it is an integer inside it."""
+        position, size = _integer(substate), self.level_sizes[level - 1]
+        if not 0 <= position < size:
+            raise StateSpaceError(
+                f"substate {substate!r} at level {level} is not an "
+                f"integer in 0..{size - 1}"
+            )
+        return position
+
+    def _node(self, level: int, children: np.ndarray) -> int:
+        """Intern the node of ``level`` whose ``int32`` child array is
+        ``children`` (which the manager keeps, read-only).  A new node's
+        children must be nodes of the next level, or TRUE at the bottom."""
+        if not children.any():
+            return FALSE
+        key = (level, children.tobytes())
+        node = self._unique.get(key)
+        if node is not None:
+            return node
+        levels = self._levels[children[children != FALSE]]
+        wrong = levels[levels != level + 1]
+        if wrong.size:
+            if level == self.num_levels:
+                raise StateSpaceError("bottom-level children must be TRUE")
+            if wrong[0] == self.num_levels + 1:
+                raise StateSpaceError("TRUE child above the bottom level")
+            raise StateSpaceError(
+                f"child at level {wrong[0]}, expected {level + 1}"
+            )
+        node = len(self._children)
+        if node == len(self._levels):  # no room: double it
+            self._levels = np.resize(self._levels, 2 * node)
+        self._levels[node] = level
+        children.flags.writeable = False
+        self._children.append(children)
+        self._unique[key] = node
+        return node
+
+    def _check_level(self, level: int) -> None:
         if not 1 <= level <= self.num_levels:
             raise StateSpaceError(
                 f"level {level} outside 1..{self.num_levels}"
             )
-        items = tuple(
-            sorted((s, c) for s, c in children.items() if c != FALSE)
-        )
-        if not items:
-            return FALSE
-        size = self.level_sizes[level - 1]
-        for substate, child in items:
-            if not 0 <= substate < size:
-                raise StateSpaceError(
-                    f"substate {substate} out of range at level {level}"
-                )
-            expected_child_level = level + 1
-            if expected_child_level > self.num_levels:
-                if child != TRUE:
-                    raise StateSpaceError(
-                        "bottom-level children must be TRUE"
-                    )
-            elif child != FALSE and child != TRUE:
-                try:
-                    child_level = self._nodes[child][0]
-                except KeyError:
-                    raise StateSpaceError(
-                        f"unknown child node {child} at level {level}"
-                    ) from None
-                if child_level != expected_child_level:
-                    raise StateSpaceError(
-                        f"child at level {child_level}, expected "
-                        f"{expected_child_level}"
-                    )
-            elif child == TRUE and expected_child_level <= self.num_levels:
-                raise StateSpaceError(
-                    "TRUE child above the bottom level"
-                )
-        key = (level, items)
-        existing = self._unique.get(key)
-        if existing is not None:
-            return existing
-        node_id = self._next_id
-        self._next_id += 1
-        self._nodes[node_id] = key
-        self._unique[key] = node_id
-        return node_id
 
     def children(self, node: int) -> Tuple[Tuple[int, int], ...]:
         """The ``(substate, child)`` pairs of a node."""
-        return self._nodes[node][1]
+        children = self._children[node]
+        substates = np.flatnonzero(children)
+        return tuple(zip(substates.tolist(), children[substates].tolist()))
 
     def level_of(self, node: int) -> int:
         """The level of a (non-terminal) node."""
-        return self._nodes[node][0]
+        return int(self._levels[node])
 
     @property
     def num_nodes(self) -> int:
         """Number of interned nodes (excluding terminals)."""
-        return len(self._nodes)
+        return len(self._children) - 2
 
     # ------------------------------------------------------------------
     # set construction
@@ -122,22 +164,13 @@ class MDDManager:
         return self._from_sorted(unique, 1)
 
     def _from_sorted(self, tuples: List[Tuple[int, ...]], level: int) -> int:
-        if not tuples:
-            return FALSE
         if level > self.num_levels:
             return TRUE
-        children: Dict[int, int] = {}
-        start = 0
-        while start < len(tuples):
-            substate = tuples[start][level - 1]
-            end = start
-            while end < len(tuples) and tuples[end][level - 1] == substate:
-                end += 1
-            children[substate] = self._from_sorted(
-                [t for t in tuples[start:end]], level + 1
-            ) if level < self.num_levels else TRUE
-            start = end
-        return self.make(level, children)
+        groups = itertools.groupby(tuples, key=operator.itemgetter(level - 1))
+        return self.make(level, {
+            substate: self._from_sorted(list(group), level + 1)
+            for substate, group in groups
+        })
 
     def singleton(self, state: Sequence[int]) -> int:
         """The MDD containing exactly one state."""
@@ -149,62 +182,75 @@ class MDDManager:
 
     def union(self, a: int, b: int) -> int:
         """Set union of two MDDs (must be same-level roots)."""
-        return self._union(a, b, {})
-
-    def _union(self, a: int, b: int, memo: Dict[Tuple[int, int], int]) -> int:
-        if a == b:
+        if a == b or b == FALSE:
             return a
         if a == FALSE:
             return b
-        if b == FALSE:
-            return a
         if a == TRUE or b == TRUE:
             return TRUE
-        key = (a, b) if a < b else (b, a)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        level = self.level_of(a)
-        if level != self.level_of(b):
-            raise StateSpaceError("union of nodes at different levels")
-        merged: Dict[int, int] = dict(self.children(a))
-        for substate, child in self.children(b):
-            existing = merged.get(substate, FALSE)
-            merged[substate] = self._union(existing, child, memo)
-        result = self.make(level, merged)
-        memo[key] = result
-        return result
+        return self._combine(a, b, union=True)
 
     def intersect(self, a: int, b: int) -> int:
         """Set intersection of two MDDs."""
-        return self._intersect(a, b, {})
-
-    def _intersect(
-        self, a: int, b: int, memo: Dict[Tuple[int, int], int]
-    ) -> int:
         if a == FALSE or b == FALSE:
             return FALSE
-        if a == b:
+        if a == b or b == TRUE:
             return a
         if a == TRUE:
             return b
-        if b == TRUE:
-            return a
-        key = (a, b) if a < b else (b, a)
-        cached = memo.get(key)
+        return self._combine(a, b, union=False)
+
+    def _combine(self, a: int, b: int, union: bool) -> int:
+        """:meth:`union` (or :meth:`intersect`) of two distinct
+        non-terminal nodes, elementwise over their child arrays: it
+        recurses only where both children are non-FALSE and differ, once
+        per distinct pair, through one memo per manager (nodes never
+        change, so it never goes stale)."""
+        key = (union, a, b) if a < b else (union, b, a)
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
-        level = self.level_of(a)
-        if level != self.level_of(b):
-            raise StateSpaceError("intersection of nodes at different levels")
-        b_children = dict(self.children(b))
-        merged: Dict[int, int] = {}
-        for substate, child in self.children(a):
-            other = b_children.get(substate, FALSE)
-            merged[substate] = self._intersect(child, other, memo)
-        result = self.make(level, merged)
-        memo[key] = result
-        return result
+        level = int(self._levels[a])
+        if level != self._levels[b]:
+            raise StateSpaceError("operands at different levels")
+        ca, cb = self._children[a], self._children[b]
+        if union:
+            result = np.where(ca == FALSE, cb, ca)
+        else:
+            result = np.where(ca == cb, ca, FALSE)
+        clash = np.flatnonzero((ca != cb) & (ca != FALSE) & (cb != FALSE))
+        if clash.size:
+            low = np.minimum(ca[clash], cb[clash]).astype(np.int64)
+            high = np.maximum(ca[clash], cb[clash]).astype(np.int64)
+            pairs, inverse = np.unique(low << 32 | high, return_inverse=True)
+            combine = self.union if union else self.intersect
+            parts = [combine(p >> 32, p & 0xFFFFFFFF) for p in pairs.tolist()]
+            result[clash] = np.array(parts, dtype=np.int32)[inverse]
+        node = self._node(level, result)
+        self._memo[key] = node
+        return node
+
+    def _gather(
+        self, level: int, substates: np.ndarray, children: np.ndarray
+    ) -> int:
+        """The node of ``level`` whose child at each substate is the union
+        of the ``children`` paired with it, folded in the order given."""
+        live = children != FALSE
+        substates, children = substates[live], children[live]
+        # Drop repeated pairs (a union with a subset adds nothing).
+        _, first = np.unique(
+            substates.astype(np.int64) << 32 | children, return_index=True
+        )
+        first.sort()
+        substates, children = substates[first], children[first]
+        result = np.zeros(self.level_sizes[level - 1], dtype=np.int32)
+        counts = np.bincount(substates, minlength=len(result))
+        single = counts[substates] == 1
+        result[substates[single]] = children[single]
+        for substate in np.flatnonzero(counts > 1).tolist():
+            members = children[substates == substate].tolist()
+            result[substate] = functools.reduce(self.union, members)
+        return self._node(level, result)
 
     def contains(self, node: int, state: Sequence[int]) -> bool:
         """Membership test; a state with other than one substate per level
@@ -218,22 +264,23 @@ class MDDManager:
         for substate in state:
             if current == FALSE:
                 return False
-            if current == TRUE:
-                raise StateSpaceError("state longer than MDD depth")
-            children = dict(self.children(current))
-            current = children.get(substate, FALSE)
+            children = self._children[current]
+            position = _integer(substate)
+            if not 0 <= position < len(children):
+                return False
+            current = int(children[position])
         return current == TRUE
 
     def count(self, node: int) -> int:
-        """Number of states in the set."""
-        cached = self._count_cache.get(node)
-        if cached is not None:
-            return cached
-        total = sum(
-            self.count(child) for _substate, child in self.children(node)
-        )
-        self._count_cache[node] = total
-        return total
+        """Number of states in the set (an exact Python int)."""
+        if node not in self._count_cache:
+            repeats = np.bincount(self._children[node]).tolist()
+            self._count_cache[node] = sum(
+                self.count(child) * times
+                for child, times in enumerate(repeats)
+                if times and child != FALSE
+            )
+        return self._count_cache[node]
 
     def tuples(self, node: int) -> Iterator[Tuple[int, ...]]:
         """Enumerate the set's states in lexicographic order."""
@@ -246,28 +293,45 @@ class MDDManager:
             for suffix in self.tuples(child):
                 yield (substate,) + suffix
 
+    def codes(self, node: int) -> np.ndarray:
+        """The set's states as sorted ``int64`` mixed-radix codes (top
+        level most significant, as :meth:`EventModel.encode`), read from
+        the child arrays without enumerating tuples."""
+        potential = math.prod(self.level_sizes)
+        if potential > np.iinfo(np.int64).max:
+            raise StateSpaceError(
+                f"potential state space of {potential} states "
+                "does not fit int64 state codes; use symbolic_reachability"
+            )
+        memo = {FALSE: np.zeros(0, np.int64), TRUE: np.zeros(1, np.int64)}
+
+        def walk(current: int) -> np.ndarray:
+            cached = memo.get(current)
+            if cached is None:
+                children = self._children[current]
+                positions = np.flatnonzero(children)
+                parts = [walk(child) for child in children[positions].tolist()]
+                below = self.level_sizes[self._levels[current]:]
+                offsets = positions * math.prod(below)  # place value
+                cached = np.repeat(offsets, [len(p) for p in parts])
+                cached += np.concatenate(parts)
+                memo[current] = cached
+            return cached
+
+        return walk(node)
+
     def level_support(self, node: int, level: int) -> List[int]:
         """Substates of ``level`` that occur in at least one member state
         (the projection of the set onto that level)."""
-        if not 1 <= level <= self.num_levels:
-            raise StateSpaceError(
-                f"level {level} outside 1..{self.num_levels}"
-            )
-        seen: set = set()
-        visited: set = set()
-
-        def walk(current: int, current_level: int) -> None:
-            if current in (FALSE, TRUE) or current in visited:
-                return
-            visited.add(current)
-            if current_level == level:
-                seen.update(s for s, _c in self.children(current))
-                return
-            for _substate, child in self.children(current):
-                walk(child, current_level + 1)
-
-        walk(node, 1)
-        return sorted(seen)
+        self._check_level(level)
+        if node in (FALSE, TRUE):
+            return []
+        nodes = [node]
+        for _ in range(level - 1):
+            children = np.concatenate([self._children[n] for n in nodes])
+            nodes = np.unique(children[children != FALSE]).tolist()
+        occurs = np.stack([self._children[n] for n in nodes]).any(axis=0)
+        return np.flatnonzero(occurs).tolist()
 
     def map_levels(
         self,
@@ -281,10 +345,24 @@ class MDDManager:
         substates missing from a map are dropped.  Used to (a) re-express
         a reachable set in projected (support-compacted) coordinates and
         (b) project a state set through per-level lumping partitions —
-        both without ever enumerating the set.
+        both without ever enumerating the set.  A target with another
+        number of levels, or a map to an integer outside the target's
+        level, raises :class:`StateSpaceError`.
         """
         if len(mappings) != self.num_levels:
             raise StateSpaceError("need one mapping per level")
+        if target.num_levels != self.num_levels:
+            raise StateSpaceError(
+                f"target has {target.num_levels} levels, expected "
+                f"{self.num_levels}"
+            )
+        # Per level, substate -> target substate, or -1 where dropped.
+        lookups = [np.full(size, -1) for size in self.level_sizes]
+        for level, (mapping, lookup) in enumerate(zip(mappings, lookups), 1):
+            for substate in range(len(lookup)):
+                if substate in mapping:
+                    image = mapping[substate]
+                    lookup[substate] = target._position(level, image)
         memo: Dict[int, int] = {}
 
         def walk(current: int, level: int) -> int:
@@ -293,20 +371,12 @@ class MDDManager:
             cached = memo.get(current)
             if cached is not None:
                 return cached
-            mapping = mappings[level - 1]
-            children: Dict[int, int] = {}
-            for substate, child in self.children(current):
-                target_substate = mapping.get(substate)
-                if target_substate is None:
-                    continue
-                mapped_child = walk(child, level + 1)
-                if mapped_child == FALSE:
-                    continue
-                existing = children.get(target_substate, FALSE)
-                children[target_substate] = target._union(
-                    existing, mapped_child, {}
-                )
-            result = target.make(level, children)
+            children, lookup = self._children[current], lookups[level - 1]
+            kept = np.flatnonzero((lookup >= 0) & (children != FALSE))
+            images = _remap(
+                children[kept], lambda child: walk(child, level + 1)
+            )
+            result = target._gather(level, lookup[kept], images)
             memo[current] = result
             return result
 
@@ -319,39 +389,35 @@ class MDDManager:
     def image(self, node: int, event) -> int:
         """The set of states reachable from ``node`` by firing ``event``
         once (:class:`repro.statespace.events.Event` semantics, read from
-        ``event.options``; factors are positive, so they are ignored, and
-        an event of weight 0 never fires)."""
+        its option columns ``event.tables``; factors are positive, so they
+        are ignored, and an event of weight 0 never fires)."""
         if not event.weight > 0:
             return FALSE
-        options = event.options
+        # Per touched level, (sources, targets) sorted by source, options
+        # in table order: the order repeated targets are folded in, which
+        # decides the union nodes interned on the way.  Below the lowest
+        # touched level the image of a node is the node.
+        columns = {}
+        for level, (sources, targets, _factors) in event.tables.items():
+            order = np.argsort(sources, kind="stable")
+            columns[level] = (sources[order], targets[order])
+        bottom = max(columns, default=0)
         memo: Dict[int, int] = {}
 
         def walk(current: int, level: int) -> int:
-            if current == FALSE:
-                return FALSE
-            if current == TRUE:
-                return TRUE
+            if current in (FALSE, TRUE) or level > bottom:
+                return current
             cached = memo.get(current)
             if cached is not None:
                 return cached
-            table = options.get(level)
-            result_children: Dict[int, int] = {}
-            for substate, child in self.children(current):
-                child_image = walk(child, level + 1)
-                if child_image == FALSE:
-                    continue
-                if table is None:
-                    merged = result_children.get(substate, FALSE)
-                    result_children[substate] = self._union(
-                        merged, child_image, {}
-                    )
-                else:
-                    for target, _factor in table.get(substate, ()):
-                        merged = result_children.get(target, FALSE)
-                        result_children[target] = self._union(
-                            merged, child_image, {}
-                        )
-            result = self.make(level, result_children)
+            mapped = _remap(
+                self._children[current], lambda child: walk(child, level + 1)
+            )
+            if level in columns:
+                sources, targets = columns[level]
+                result = self._gather(level, targets, mapped[sources])
+            else:
+                result = self._node(level, mapped)
             memo[current] = result
             return result
 

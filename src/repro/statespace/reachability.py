@@ -10,8 +10,8 @@ Two algorithms produce the same set:
   symbolic, as the paper's symbolic state-space generator [10] does.
   :func:`symbolic_reachability` returns it unenumerated; the ``mdd`` and
   ``saturation`` engines (:func:`reachable_mdd`,
-  :func:`reachable_saturation`) enumerate it and differ only in their
-  engine label.
+  :func:`reachable_saturation`) read its state codes straight from the
+  MDD and differ only in their engine label.
 
 The engines return a :class:`ReachabilityResult`, which also knows how to
 materialize the reachable-restricted CTMC (for flat verification and the
@@ -31,7 +31,7 @@ from repro.markov.ctmc import CTMC
 from repro.robust import budgets, checkpoint, faults
 from repro.robust.budgets import BudgetExceeded
 from repro.statespace.events import EventModel, SuccessorTables
-from repro.statespace.mdd import MDDManager
+from repro.statespace.mdd import FALSE, TRUE, MDDManager
 
 
 def _reach_guard(model: EventModel, seeds) -> dict:
@@ -56,13 +56,6 @@ class ReachabilityResult:
     codes: np.ndarray
     engine: str
     _states: Optional[List[Tuple[int, ...]]] = field(default=None, repr=False)
-
-    @classmethod
-    def from_states(
-        cls, model: EventModel, states: Sequence[Sequence[int]], engine: str
-    ) -> "ReachabilityResult":
-        """The result for an engine that enumerates state tuples."""
-        return cls(model, np.sort(model.encode_states(states)), engine)
 
     @property
     def states(self) -> List[Tuple[int, ...]]:
@@ -177,8 +170,8 @@ def reachable_bfs(
         if record is not None:
             payload = record["payload"]
             if record["complete"]:
-                states = [tuple(s) for s in payload["states"]]
-                return ReachabilityResult.from_states(model, states, "bfs")
+                codes = np.sort(model.encode_states(payload["states"]))
+                return ReachabilityResult(model, codes, "bfs")
             seen_states = [tuple(s) for s in payload["seen"]]
             frontier_states = [tuple(s) for s in payload["frontier"]]
     tables = SuccessorTables(model)
@@ -296,6 +289,24 @@ def symbolic_reachability(model: EventModel) -> SymbolicStateSpace:
     )
 
 
+def _node_list(manager: MDDManager, root: int) -> List[list]:
+    """The nodes reachable from ``root``, children before parents, each as
+    ``[level, children]``: its ``(substate, child)`` pairs, with a child
+    numbered 0 (FALSE), 1 (TRUE) or 2 + its position in the list."""
+    numbers = {FALSE: 0, TRUE: 1}
+    nodes: List[list] = []
+
+    def visit(node: int) -> int:
+        if node not in numbers:
+            pairs = [[s, visit(c)] for s, c in manager.children(node)]
+            numbers[node] = len(nodes) + 2
+            nodes.append([manager.level_of(node), pairs])
+        return numbers[node]
+
+    visit(root)
+    return nodes
+
+
 def _saturate(manager: MDDManager, model: EventModel) -> int:
     current = manager.singleton(model.initial_state)
     start_top = model.num_levels
@@ -303,12 +314,17 @@ def _saturate(manager: MDDManager, model: EventModel) -> int:
     key = guard = None
     if ck is not None:
         key = ck.sequence_key("reachability.saturation")
+        # The layout marker makes a snapshot of state tuples (the earlier
+        # layout) stale, so such a run starts afresh.
         guard = _reach_guard(model, [model.initial_state])
+        guard["layout"] = "nodes"
         record = ck.load(key, guard=guard)
         if record is not None:
-            current = manager.from_tuples(
-                [tuple(s) for s in record["payload"]["tuples"]]
-            )
+            built = [FALSE, TRUE]
+            for level, pairs in record["payload"]["nodes"]:
+                children = {s: built[c] for s, c in pairs}
+                built.append(manager.make(level, children))
+            current = built[-1]  # the root is listed last
             if record["complete"]:
                 return current
             # Resuming the outer sweep at the saved level is sound: the
@@ -322,9 +338,7 @@ def _saturate(manager: MDDManager, model: EventModel) -> int:
     progress = {"node": current, "top": start_top}
 
     def save(node: int, top: int, complete: bool = False) -> None:
-        # ``tuples`` enumerates in lexicographic order, so snapshots are
-        # sorted.
-        payload = {"tuples": list(manager.tuples(node)), "top": top}
+        payload = {"nodes": _node_list(manager, node), "top": top}
         ck.save(key, payload, guard=guard, complete=complete)
 
     def close_from(node: int, lowest_top: int) -> int:
@@ -360,10 +374,11 @@ def _saturate(manager: MDDManager, model: EventModel) -> int:
 
 def _enumerated(model: EventModel, engine: str) -> ReachabilityResult:
     """The saturation fixpoint's states, labeled ``engine``: the one body
-    of the ``mdd`` and ``saturation`` engines."""
+    of the ``mdd`` and ``saturation`` engines.  The codes come straight
+    from the MDD's child arrays (:meth:`MDDManager.codes`)."""
     symbolic = symbolic_reachability(model)
-    states = list(symbolic.manager.tuples(symbolic.node))
-    return ReachabilityResult.from_states(model, states, engine)
+    codes = symbolic.manager.codes(symbolic.node)
+    return ReachabilityResult(model, codes, engine)
 
 
 def reachable_mdd(model: EventModel) -> ReachabilityResult:

@@ -42,6 +42,7 @@ from repro.statespace import (
     reachable_mdd,
     symbolic_reachability,
 )
+from repro.statespace.reachability import _reach_guard
 
 SMALL = dict(cube_dim=2, msmq_servers=2, msmq_queues=2)
 
@@ -498,6 +499,28 @@ class TestReachabilityResume:
         with Checkpointer(ck_dir, resume=True), Budget(max_states=1):
             again = states_of(event_model)
         assert again == first
+
+    @SATURATION_RUNS
+    def test_tuple_layout_saturation_snapshot_is_stale(
+        self, small_tandem, tmp_path, states_of
+    ):
+        # A complete snapshot in the earlier layout (state tuples, under
+        # a guard without the layout marker), holding only the initial
+        # state: a resume must not take it, and starts afresh.
+        event_model = small_tandem["event_model"]
+        clean = states_of(event_model)
+        initial = event_model.initial_state
+        with Checkpointer(str(tmp_path)) as ck:
+            ck.save(
+                ck.sequence_key("reachability.saturation"),
+                {"tuples": [list(initial)], "top": 1},
+                guard=_reach_guard(event_model, [initial]),
+                complete=True,
+            )
+        with Checkpointer(str(tmp_path), resume=True) as ck:
+            resumed = states_of(event_model)
+        assert any(e.kind == "stale" for e in ck.events)
+        assert resumed == clean
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,15 @@ class TestConstruction:
         with pytest.raises(StateSpaceError):
             manager.from_tuples([(0, 9, 0)])
 
+    def test_non_integer_substate_rejected(self, manager):
+        with pytest.raises(StateSpaceError):
+            manager.make(3, {1.5: TRUE})
+        with pytest.raises(StateSpaceError):
+            manager.from_tuples([(0, 1.5, 0)])
+        bottom = manager.make(3, {0: TRUE})
+        with pytest.raises(StateSpaceError):
+            manager.make(2, {1.5: bottom})
+
     def test_make_level_out_of_range(self, manager):
         top = manager.singleton((0, 0, 0))
         with pytest.raises(StateSpaceError):
@@ -61,6 +70,13 @@ class TestConstruction:
     def test_make_unknown_child_rejected(self, manager):
         with pytest.raises(StateSpaceError):
             manager.make(2, {0: 99})
+
+    def test_make_child_on_wrong_level_rejected(self, manager):
+        bottom = manager.make(3, {0: TRUE})
+        middle = manager.make(2, {0: bottom})
+        for level, child in [(1, TRUE), (1, bottom), (3, middle)]:
+            with pytest.raises(StateSpaceError):
+                manager.make(level, {0: child})
 
     @pytest.mark.parametrize("state", [(0, 1), (1, 1, 0, 0)])
     def test_contains_wrong_arity_rejected(self, manager, state):

@@ -216,6 +216,14 @@ def test_table1_j1_codes_match_per_state_engine():
     assert digest == TABLE1_J1_CODES_SHA256
 
 
+@pytest.mark.parametrize("engine", [reachable_mdd, reachable_saturation])
+def test_table1_j1_symbolic_codes_match_per_state_engine(engine):
+    """The symbolic engines read their codes straight from the MDD."""
+    reach = engine(build_tandem(TandemParams(jobs=1)).event_model)
+    digest = hashlib.sha256(reach.codes.astype("<i8").tobytes()).hexdigest()
+    assert digest == TABLE1_J1_CODES_SHA256
+
+
 def test_states_view_is_python_int_tuples():
     reach = reachable_bfs(_small_tandem(1))
     state = reach.states[0]
@@ -250,6 +258,13 @@ class TestSeedValidation:
         model = EventModel(levels, [], [0] * 64)
         with pytest.raises(StateSpaceError, match="int64"):
             reachable_bfs(model)
+
+    @pytest.mark.parametrize("engine", [reachable_mdd, reachable_saturation])
+    def test_symbolic_codes_beyond_int64_raise(self, engine):
+        levels = [LevelSpace(f"l{i}", [0, 1]) for i in range(64)]
+        model = EventModel(levels, [], [0] * 64)
+        with pytest.raises(StateSpaceError, match="int64"):
+            engine(model)
 
     def test_index_of_foreign_state_is_unreachable(self):
         reach = reachable_bfs(_two_level_model())

@@ -83,6 +83,21 @@ class TestMapLevels:
         with pytest.raises(StateSpaceError):
             source.map_levels(node, [{0: 0}], MDDManager((2, 2)))
 
+    @pytest.mark.parametrize("target_sizes", [(2,), (2, 2, 2)])
+    def test_map_levels_target_level_count(self, target_sizes):
+        source = MDDManager((2, 2))
+        identity = [{0: 0, 1: 1}, {0: 0, 1: 1}]
+        for node in (source.from_tuples([(0, 1)]), FALSE):
+            with pytest.raises(StateSpaceError, match="target"):
+                source.map_levels(node, identity, MDDManager(target_sizes))
+
+    @pytest.mark.parametrize("image", [2, -1, 0.5])
+    def test_map_levels_target_outside_level(self, image):
+        source = MDDManager((2, 2))
+        node = source.from_tuples([(0, 1)])
+        with pytest.raises(StateSpaceError):
+            source.map_levels(node, [{0: 0}, {1: image}], MDDManager((2, 2)))
+
 
 class TestSymbolicTable1:
     def test_symbolic_row_matches_explicit(self):
