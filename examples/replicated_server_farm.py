@@ -87,7 +87,7 @@ def main(replicas: int = 6, spares: int = 2) -> None:
     reach = reachable_bfs(compiled.event_model)
     model = MDModel(
         compiled.event_model.to_md(),
-        reachable=reach.potential_indices(),
+        reachable=reach.codes,
     )
     print(f"{replicas} servers: {reach.num_states} reachable states, "
           f"farm level {model.md.level_size(2)} substates")

@@ -35,6 +35,7 @@ from repro.robust import checkpoint
 from repro.robust.budgets import Budget
 from repro.robust.checkpoint import Checkpointer
 from repro.robust.report import RunReport
+from repro.util.numeric import mixed_radix_digits
 
 _Run = TypeVar("_Run")
 
@@ -95,17 +96,15 @@ class LumpedSolution:
         single original label for singleton classes).
         """
         md = self.lumped_model.md
+        states = self.lumped_model.reachable
+        if states is None:
+            states = np.arange(md.potential_size())
+        digits = mixed_radix_digits(states, md.level_sizes)
         total = 0.0
-        states = (
-            self.lumped_model.reachable
-            if self.lumped_model.reachable is not None
-            else range(md.potential_size())
-        )
-        for position, index in enumerate(states):
-            tuple_state = self.lumped_model.state_tuple(index)
+        for position, state in enumerate(zip(*(d.tolist() for d in digits))):
             labels = tuple(
-                md.substate_label(level + 1, substate)
-                for level, substate in enumerate(tuple_state)
+                md.substate_label(level, substate)
+                for level, substate in enumerate(state, start=1)
             )
             if predicate(labels):
                 total += float(self.stationary[position])

@@ -38,6 +38,7 @@ from repro.matrixdiagram.node import MDNode
 from repro.partitions import Partition
 from repro.robust import budgets, checkpoint, faults
 from repro.robust.budgets import BudgetExceeded
+from repro.util.numeric import mixed_radix_codes, mixed_radix_digits
 
 
 @dataclass
@@ -118,9 +119,7 @@ class CompositionalLumpingResult:
         )
         if self.lumped.reachable is None:
             return projected
-        return np.searchsorted(
-            np.asarray(self.lumped.reachable, dtype=np.int64), projected
-        )
+        return np.searchsorted(self.lumped.reachable, projected)
 
     def project_distribution(self, pi: np.ndarray) -> np.ndarray:
         """Aggregate a distribution over original states into the lumped
@@ -145,16 +144,17 @@ def project_indices(
     per-level ``partitions``: split each index into its mixed-radix
     digits, replace every digit by its class, and recombine in the
     lumped radix.  Works in ``int64``, so the indices must fit it, as
-    the explicit state-space engines' codes do."""
-    rest = np.asarray(indices, dtype=np.int64)
-    out = np.zeros_like(rest)
-    place = 1
-    for size, partition in zip(reversed(level_sizes), reversed(partitions)):
-        classes = np.asarray(partition.state_class_vector(), dtype=np.int64)
-        rest, digit = np.divmod(rest, size)
-        out += classes[digit] * place
-        place *= len(partition)
-    return out
+    the explicit state-space engines' codes do; raises
+    :class:`LumpingError` for an index outside the potential space."""
+    try:
+        digits = mixed_radix_digits(indices, level_sizes)
+    except ValueError as exc:
+        raise LumpingError(f"potential {exc}") from None
+    classes = [
+        np.asarray(partition.state_class_vector(), dtype=np.int64)[digit]
+        for partition, digit in zip(partitions, digits)
+    ]
+    return mixed_radix_codes(classes, [len(p) for p in partitions])
 
 
 def _lump_node(
@@ -348,6 +348,10 @@ def _compositional_lump_once(
     """One pass of Figure 3b."""
     if kind not in ("ordinary", "exact"):
         raise LumpingError(f"kind must be 'ordinary' or 'exact', not {kind!r}")
+    # Checked here, not only per level: ``degrade`` would turn the
+    # error into an identity partition on every level.
+    if key not in ("formal", "matrix"):
+        raise LumpingError(f"key must be 'formal' or 'matrix', not {key!r}")
     md = model.md
     selected = (
         sorted(set(levels))
@@ -477,7 +481,7 @@ def apply_partitions(
     if model.reachable is not None:
         lumped_reachable = np.unique(
             project_indices(model.reachable, md.level_sizes, partitions)
-        ).tolist()
+        )
 
     lumped_model = MDModel(
         lumped_md,

@@ -22,7 +22,7 @@ cover the practical cases and commute with per-level lumping:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,27 @@ from repro.markov.ctmc import CTMC
 from repro.markov.mrp import MarkovRewardProcess
 from repro.matrixdiagram.md import MatrixDiagram
 from repro.matrixdiagram.operations import flatten
+from repro.util.numeric import mixed_radix_unindex
+
+
+def _codes(indices, size: int) -> np.ndarray:
+    """``indices`` as a read-only sorted ``int64`` array: ``indices``
+    itself if it already is one and owns its data, else a sorted copy."""
+    codes = np.asarray(indices)
+    owned = codes.flags.owndata and not codes.flags.writeable
+    if codes.dtype != np.int64 or not owned or np.any(codes[1:] < codes[:-1]):
+        codes = np.sort(codes)
+    if codes.size and (codes[0] < 0 or codes[-1] >= size):
+        raise ModelError("reachable indices outside potential space")
+    whole = codes.astype(np.int64, copy=False)
+    for wrong, problem in (
+        (np.flatnonzero(whole != codes), "is not an integer"),
+        (np.flatnonzero(whole[1:] == whole[:-1]), "is listed twice"),
+    ):
+        if wrong.size:
+            raise ModelError(f"reachable index {codes[wrong[0]]} {problem}")
+    whole.flags.writeable = False
+    return whole
 
 
 class MDModel:
@@ -50,8 +71,9 @@ class MDModel:
     reward_combiner:
         ``"sum"`` or ``"product"``; see module docstring.
     reachable:
-        Optional sorted list of reachable potential-space indices; when
-        set, global vectors and flat MRPs are restricted to it.
+        Optional reachable potential-space indices, kept as a read-only
+        sorted ``int64`` array; global vectors and flat MRPs are then
+        restricted to them.
     """
 
     def __init__(
@@ -98,19 +120,9 @@ class MDModel:
                     )
         if any(np.any(v < 0) for v in self.level_initial):
             raise ModelError("initial factors must be non-negative")
-        self.reachable = (
-            sorted(int(i) for i in reachable) if reachable is not None else None
-        )
-        if self.reachable is not None:
-            n = md.potential_size()
-            if self.reachable and (
-                self.reachable[0] < 0 or self.reachable[-1] >= n
-            ):
-                raise ModelError("reachable indices outside potential space")
-            repeated = np.flatnonzero(np.diff(self.reachable) == 0)
-            if repeated.size:
-                index = self.reachable[repeated[0]]
-                raise ModelError(f"reachable index {index} is listed twice")
+        self.reachable = None
+        if reachable is not None:
+            self.reachable = _codes(reachable, md.potential_size())
 
     # ------------------------------------------------------------------
     # global vectors
@@ -190,13 +202,15 @@ class MDModel:
             initial_distribution=self.global_initial(),
         )
 
-    def state_tuple(self, potential_index: int):
+    def state_tuple(self, potential_index: int) -> Tuple[int, ...]:
         """Decode a potential-space index into per-level substates."""
-        digits = []
-        for size in reversed(self.md.level_sizes):
-            digits.append(potential_index % size)
-            potential_index //= size
-        return tuple(reversed(digits))
+        try:
+            return mixed_radix_unindex(potential_index, self.md.level_sizes)
+        except ValueError:
+            raise ModelError(
+                f"potential index {potential_index} outside "
+                f"0..{self.potential_size() - 1}"
+            ) from None
 
     def __repr__(self) -> str:
         restriction = (

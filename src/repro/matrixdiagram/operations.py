@@ -33,6 +33,7 @@ from repro.errors import MatrixDiagramError
 from repro.matrixdiagram.formal_sum import FormalSum
 from repro.matrixdiagram.md import MatrixDiagram
 from repro.matrixdiagram.node import Entry, MDNode
+from repro.util.numeric import mixed_radix_index
 
 
 Term = Tuple[sparse.csr_matrix, sparse.csr_matrix]
@@ -257,16 +258,9 @@ def merge_top_down(md: MatrixDiagram, through_level: int) -> MatrixDiagram:
     merged_size = math.prod(sizes[:through_level])
     new_sizes = (merged_size,) + sizes[through_level:]
     radices = sizes[:through_level]
-
-    def encode(prefix: Tuple[int, ...]) -> int:
-        index = 0
-        for digit, radix in zip(prefix, radices):
-            index = index * radix + digit
-        return index
-
     root_entries = {
-        (encode(rp), encode(cp)): formal_sum
-        for (rp, cp), formal_sum in current.items()
+        tuple(mixed_radix_index(p, radices) for p in prefixes): formal_sum
+        for prefixes, formal_sum in current.items()
         if not formal_sum.is_zero()
     }
 

@@ -160,17 +160,14 @@ def tandem_md_model(
     elif reward != "none":
         raise ValueError(f"unknown reward spec {reward!r}")
 
-    reachable_indices = None
-    if reachable is not None:
-        if reachable.model is not event_model:
-            raise ValueError(
-                "reachability result was computed on a different event model"
-            )
-        reachable_indices = reachable.potential_indices()
+    if reachable is not None and reachable.model is not event_model:
+        raise ValueError(
+            "reachability result was computed on a different event model"
+        )
     return MDModel(
         md,
         level_rewards=level_rewards,
         level_initial=level_initial,
         reward_combiner=combiner,
-        reachable=reachable_indices,
+        reachable=None if reachable is None else reachable.codes,
     )

@@ -177,17 +177,14 @@ def build_md_model(
         level_rewards = compile_reward(compiled, rewards)
         combiner = rewards.combiner
 
-    reachable_indices = None
-    if reachable is not None:
-        if reachable.model is not model:
-            raise ModelError(
-                "reachability result was computed on a different event model"
-            )
-        reachable_indices = reachable.potential_indices()
+    if reachable is not None and reachable.model is not model:
+        raise ModelError(
+            "reachability result was computed on a different event model"
+        )
     return MDModel(
         md,
         level_rewards=level_rewards,
         level_initial=level_initial,
         reward_combiner=combiner,
-        reachable=reachable_indices,
+        reachable=None if reachable is None else reachable.codes,
     )

@@ -32,7 +32,13 @@ from repro.robust.checkpoint import atomic_write_text
 from repro.robust.retry import RetryPolicy
 from repro.service.cache import ResultCache
 from repro.service.dispatcher import Dispatcher, DispatcherConfig
-from repro.service.spec import SpecError, spec_from_args, spec_summary
+from repro.service.spec import (
+    SOLVE_CHOICES,
+    SpecError,
+    solve_params,
+    spec_from_args,
+    spec_summary,
+)
 from repro.service.store import DEAD, DONE, STATES, JobStore, StoreError
 
 EXIT_SHED = 5
@@ -46,8 +52,9 @@ def _open(store_root: str) -> Tuple[JobStore, ResultCache]:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    store, cache = _open(args.store)
     spec = spec_from_args(args)
+    solve_params(spec)  # a bad solve parameter fails here, not in a worker
+    store, cache = _open(args.store)
     outcome = store.submit(
         spec, queue_limit=args.queue_limit, cache=cache
     )
@@ -247,11 +254,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--demo",
         help="built-in demo model: redundant:U,S or tandem:J,C,S,Q",
     )
-    p_submit.add_argument("--kind", choices=["ordinary", "exact"])
-    p_submit.add_argument(
-        "--method", choices=["direct", "gauss-seidel", "jacobi", "power"]
-    )
-    p_submit.add_argument("--key")
+    p_submit.add_argument("--kind", choices=SOLVE_CHOICES["kind"])
+    p_submit.add_argument("--method", choices=SOLVE_CHOICES["method"])
+    p_submit.add_argument("--key", choices=SOLVE_CHOICES["key"])
     p_submit.add_argument("--iterate", action="store_true")
     p_submit.add_argument(
         "--no-certify",

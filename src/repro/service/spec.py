@@ -63,16 +63,18 @@ TRANSITIONS: Dict[Optional[str], FrozenSet[str]] = {
     RUNNING: frozenset({RUNNING, QUEUED, DEAD, DONE, FAILED}),
 }
 
-_SOLVE_DEFAULTS = {
-    "kind": "ordinary",
-    "method": "direct",
-    "iterate": False,
-    "key": "formal",
+#: The values each solve parameter may take, its default first.
+SOLVE_CHOICES: Dict[str, Tuple[Any, ...]] = {
+    "kind": ("ordinary", "exact"),
+    "method": ("direct", "gauss-seidel", "jacobi", "power"),
+    "iterate": (False, True),
+    "key": ("formal", "matrix"),
     # Results are certified by default (see repro.robust.certify); specs
     # written before certification existed carry no "certify" key and
     # inherit True here, so old digests stay valid *and* get checked.
-    "certify": True,
+    "certify": (True, False),
 }
+_SOLVE_DEFAULTS = {name: values[0] for name, values in SOLVE_CHOICES.items()}
 
 
 class SpecError(ReproError):
@@ -114,9 +116,7 @@ def spec_from_model(
         ],
         "reward_combiner": model.reward_combiner,
         "reachable": (
-            None
-            if model.reachable is None
-            else [int(i) for i in model.reachable]
+            None if model.reachable is None else model.reachable.tolist()
         ),
         "solve": solve,
     }
@@ -144,7 +144,9 @@ def model_from_spec(spec: dict) -> MDModel:
 
 
 def solve_params(spec: dict) -> dict:
-    """The ``lump_and_solve`` keyword arguments a spec requests."""
+    """The ``lump_and_solve`` keyword arguments a spec requests; raises
+    :class:`SpecError` for an unknown parameter or a value outside
+    :data:`SOLVE_CHOICES`."""
     params = dict(_SOLVE_DEFAULTS)
     params.update(spec.get("solve", {}))
     unknown = set(params) - set(_SOLVE_DEFAULTS)
@@ -152,6 +154,14 @@ def solve_params(spec: dict) -> dict:
         raise SpecError(
             f"unknown solve parameter(s) {sorted(unknown)!r}"
         )
+    for name, value in params.items():
+        choices = SOLVE_CHOICES[name]
+        # Types too: 1 == True, but "iterate": 1 is not a bool.
+        if not any(type(value) is type(c) and value == c for c in choices):
+            raise SpecError(
+                f"solve parameter {name!r} is {value!r}; "
+                f"expected one of {list(choices)!r}"
+            )
     return params
 
 
@@ -226,10 +236,7 @@ def demo_spec(name: str) -> dict:
             redundant_units_join(num_units=units, spares=spares)
         )
         reach = reachable_bfs(compiled.event_model)
-        model = MDModel(
-            compiled.event_model.to_md(),
-            reachable=reach.potential_indices(),
-        )
+        model = MDModel(compiled.event_model.to_md(), reachable=reach.codes)
         return spec_from_model(model)
     if kind == "tandem":
         from repro.models import TandemParams, build_tandem, tandem_md_model

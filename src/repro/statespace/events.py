@@ -35,6 +35,7 @@ from repro.errors import ModelError, StateSpaceError
 from repro.kronecker.descriptor import KroneckerDescriptor
 from repro.matrixdiagram.build import md_from_kronecker_terms
 from repro.matrixdiagram.md import MatrixDiagram
+from repro.util import numeric
 
 
 class LevelSpace:
@@ -247,22 +248,16 @@ class EventModel:
         """Mixed-radix flat index of a global state (top level most
         significant, matching the MD flattening order)."""
         self.state_labels(state)  # raises for a state outside the levels
-        index = 0
-        for digit, level in zip(state, self.levels):
-            index = index * len(level) + digit
-        return index
+        return numeric.mixed_radix_index(state, self.level_sizes())
 
     def decode(self, index: int) -> Tuple[int, ...]:
         """Inverse of :meth:`encode`."""
-        if not 0 <= index < self.potential_size():
+        try:
+            return numeric.mixed_radix_unindex(index, self.level_sizes())
+        except ValueError:
             raise StateSpaceError(
                 f"state index {index} outside 0..{self.potential_size() - 1}"
-            )
-        digits = []
-        for level in reversed(self.levels):
-            digits.append(index % len(level))
-            index //= len(level)
-        return tuple(reversed(digits))
+            ) from None
 
     def state_labels(self, state: Sequence[int]) -> Tuple[Hashable, ...]:
         """The label tuple of a global state given by indices; raises
@@ -281,11 +276,6 @@ class EventModel:
         the wrong number of components or a substate outside its level —
         such a state has no code of its own (it would alias another).
         """
-        if self.potential_size() > np.iinfo(np.int64).max:
-            raise StateSpaceError(
-                f"potential state space of {self.potential_size()} states "
-                "does not fit int64 state codes; use symbolic_reachability"
-            )
         sizes = self.level_sizes()
         wrong = next((s for s in states if len(s) != len(sizes)), None)
         if wrong is not None:
@@ -293,34 +283,23 @@ class EventModel:
                 f"state {tuple(wrong)} has {len(wrong)} components, "
                 f"expected one per level ({len(sizes)})"
             )
-        digits = np.array(states, dtype=np.int64)
-        digits = digits.reshape(len(states), len(sizes))
-        codes = np.zeros(len(states), dtype=np.int64)
-        for level, size in enumerate(sizes):
-            column = digits[:, level]
-            bad = np.flatnonzero((column < 0) | (column >= size))
-            if bad.size:
-                raise StateSpaceError(
-                    f"state {tuple(states[bad[0]])} has substate "
-                    f"{column[bad[0]]} outside level {level + 1} "
-                    f"({self.levels[level].name!r}, size {size})"
-                )
-            codes = codes * size + column
-        return codes
+        digits = np.array(states, dtype=np.int64).reshape(-1, len(sizes))
+        try:
+            return numeric.mixed_radix_codes(digits.T, sizes)
+        except numeric.DigitError as bad:
+            raise StateSpaceError(
+                f"state {tuple(states[bad.row])} has substate {bad.digit} "
+                f"outside level {bad.level + 1} "
+                f"({self.levels[bad.level].name!r}, size {sizes[bad.level]})"
+            ) from None
 
     def state_digits(self, codes: np.ndarray) -> List[np.ndarray]:
         """Per level (top first), the substates of the states ``codes``."""
-        columns = []
-        remainder = np.asarray(codes, dtype=np.int64)
-        for size in reversed(self.level_sizes()):
-            columns.append(remainder % size)
-            remainder = remainder // size
-        return columns[::-1]
+        return numeric.mixed_radix_digits(codes, self.level_sizes())
 
     def decode_states(self, codes: np.ndarray) -> List[Tuple[int, ...]]:
         """Inverse of :meth:`encode_states`: tuples of Python ints."""
-        columns = self.state_digits(codes)
-        return list(zip(*(column.tolist() for column in columns)))
+        return list(zip(*(c.tolist() for c in self.state_digits(codes))))
 
     # ------------------------------------------------------------------
     # transition semantics
@@ -507,7 +486,7 @@ class SuccessorTables:
 
     def __init__(self, model: EventModel) -> None:
         sizes = model.level_sizes()
-        strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+        place = numeric.strides(sizes)
         #: Per event: the weight, per touched level (place value, size,
         #: ``ptr``, targets times the place value, factors) with local
         #: state ``s``'s options at ``ptr[s]:ptr[s + 1]``, and whether to
@@ -517,7 +496,7 @@ class SuccessorTables:
             tables = []
             for level in event.levels():
                 sources, targets, factors = event.tables[level]
-                stride, size = strides[level - 1], sizes[level - 1]
+                stride, size = place[level - 1], sizes[level - 1]
                 order = np.argsort(sources, kind="stable")
                 counts = np.bincount(sources, minlength=size)
                 ptr = np.concatenate(([0], np.cumsum(counts)))

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import StateSpaceError
+from repro.util.numeric import check_int64_codes, strides
 
 FALSE = 0
 TRUE = 1
@@ -297,12 +297,8 @@ class MDDManager:
         """The set's states as sorted ``int64`` mixed-radix codes (top
         level most significant, as :meth:`EventModel.encode`), read from
         the child arrays without enumerating tuples."""
-        potential = math.prod(self.level_sizes)
-        if potential > np.iinfo(np.int64).max:
-            raise StateSpaceError(
-                f"potential state space of {potential} states "
-                "does not fit int64 state codes; use symbolic_reachability"
-            )
+        check_int64_codes(self.level_sizes)
+        place = strides(self.level_sizes)
         memo = {FALSE: np.zeros(0, np.int64), TRUE: np.zeros(1, np.int64)}
 
         def walk(current: int) -> np.ndarray:
@@ -311,8 +307,7 @@ class MDDManager:
                 children = self._children[current]
                 positions = np.flatnonzero(children)
                 parts = [walk(child) for child in children[positions].tolist()]
-                below = self.level_sizes[self._levels[current]:]
-                offsets = positions * math.prod(below)  # place value
+                offsets = positions * place[self._levels[current] - 1]
                 cached = np.repeat(offsets, [len(p) for p in parts])
                 cached += np.concatenate(parts)
                 memo[current] = cached

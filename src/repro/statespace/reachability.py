@@ -109,8 +109,8 @@ class ReachabilityResult:
         )
 
     def potential_indices(self) -> List[int]:
-        """Mixed-radix flat indices of the reachable states within the
-        potential product space (for restricting flattened MDs)."""
+        """``codes`` as a list: the mixed-radix flat indices of the
+        reachable states within the potential product space."""
         return self.codes.tolist()
 
 
@@ -158,25 +158,23 @@ def reachable_bfs(
         seeds = [model.initial_state]
     else:
         seeds = [tuple(state) for state in initial]
-    model.encode_states(seeds)  # raises StateSpaceError on a bad seed
-    seen_states: Sequence[Tuple[int, ...]] = seeds
-    frontier_states: Sequence[Tuple[int, ...]] = seeds
+    seen = frontier = _distinct(model.encode_states(seeds))
     ck = checkpoint.active()
     key = guard = None
     if ck is not None:
         key = ck.sequence_key("reachability.bfs")
+        # A snapshot of state tuples, the earlier layout, reads as stale.
         guard = _reach_guard(model, seeds)
+        guard["layout"] = "codes"
         record = ck.load(key, guard=guard)
         if record is not None:
             payload = record["payload"]
             if record["complete"]:
-                codes = np.sort(model.encode_states(payload["states"]))
+                codes = np.array(payload["codes"], dtype=np.int64)
                 return ReachabilityResult(model, codes, "bfs")
-            seen_states = [tuple(s) for s in payload["seen"]]
-            frontier_states = [tuple(s) for s in payload["frontier"]]
+            seen = np.array(payload["seen"], dtype=np.int64)
+            frontier = np.array(payload["frontier"], dtype=np.int64)
     tables = SuccessorTables(model)
-    seen = _distinct(model.encode_states(seen_states))
-    frontier = _distinct(model.encode_states(frontier_states))
     # States admitted to ``seen`` this round but not yet in ``frontier``:
     # the BudgetExceeded handler snapshots them with the frontier.
     fresh = frontier[:0]
@@ -202,10 +200,7 @@ def reachable_bfs(
             if ck is not None and ck.tick(key):
                 ck.save(
                     key,
-                    {
-                        "seen": model.decode_states(seen),
-                        "frontier": model.decode_states(frontier),
-                    },
+                    {"seen": seen.tolist(), "frontier": frontier.tolist()},
                     guard=guard,
                 )
     except BudgetExceeded:
@@ -215,15 +210,15 @@ def reachable_bfs(
             ck.save(
                 key,
                 {
-                    "seen": model.decode_states(seen),
-                    "frontier": model.decode_states(_merge(frontier, fresh)),
+                    "seen": seen.tolist(),
+                    "frontier": _merge(frontier, fresh).tolist(),
                 },
                 guard=guard,
             )
         raise
     result = ReachabilityResult(model, seen, "bfs")
     if ck is not None:
-        ck.save(key, {"states": result.states}, guard=guard, complete=True)
+        ck.save(key, {"codes": seen.tolist()}, guard=guard, complete=True)
     return result
 
 

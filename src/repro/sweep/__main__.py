@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ReproError, SweepError
 from repro.robust.checkpoint import atomic_write_text
 from repro.robust.report import RunReport
-from repro.service.spec import SpecError, spec_from_args
+from repro.service.spec import SOLVE_CHOICES, SpecError, spec_from_args
 from repro.sweep.engine import SweepEngine, default_frontier_dir
 from repro.sweep.frontier import POINT_DONE, SweepFrontier
 from repro.sweep.spec import (
@@ -195,11 +195,9 @@ def _add_plan_args(parser: argparse.ArgumentParser) -> None:
         metavar="NAME=START:STOP:COUNT|NAME=F1,F2,...",
         help="factor grid per site (repeatable); default 0.5..2.0 x5",
     )
-    parser.add_argument("--kind", choices=["ordinary", "exact"])
-    parser.add_argument(
-        "--method", choices=["direct", "gauss-seidel", "jacobi", "power"]
-    )
-    parser.add_argument("--key")
+    parser.add_argument("--kind", choices=SOLVE_CHOICES["kind"])
+    parser.add_argument("--method", choices=SOLVE_CHOICES["method"])
+    parser.add_argument("--key", choices=SOLVE_CHOICES["key"])
     parser.add_argument("--iterate", action="store_true")
     parser.add_argument(
         "--no-certify",

@@ -281,6 +281,8 @@ class SweepEngine:
                 point,
                 derived=derived_model,
             )
+            if self.derived:  # apply_point keeps the set: share one list
+                spec["reachable"] = self.derived[0][1]["reachable"]
             self.derived.append((point, spec, canonical_digest(spec)))
             self._derived_models[point.index] = derived_model
         self._iterative = self.params["method"] != "direct"

@@ -18,11 +18,12 @@ the escalation ladder's final rung can refine a vector beyond float64.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import math
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SolverError
+from repro.errors import SolverError, StateSpaceError
 
 #: Default relative tolerance used when quantizing rates into hashable keys.
 DEFAULT_RTOL = 1e-9
@@ -173,6 +174,14 @@ def extended_jacobi_refine(
     return normalize(np.asarray(pi, dtype=float), name="refined vector")
 
 
+class DigitError(ValueError):
+    """A ``digit`` outside its radix, at ``level`` (0-based) of ``row``."""
+
+    def __init__(self, digit, radix, level, row) -> None:
+        super().__init__(f"digit {digit} out of range for radix {radix}")
+        self.digit, self.level, self.row = digit, level, row
+
+
 def mixed_radix_index(digits: Sequence[int], radices: Sequence[int]) -> int:
     """Map a tuple of per-level substate positions to a flat index.
 
@@ -221,3 +230,45 @@ def strides(radices: Sequence[int]) -> Tuple[int, ...]:
     for i in range(len(radices) - 2, -1, -1):
         out[i] = out[i + 1] * radices[i + 1]
     return tuple(out)
+
+
+def check_int64_codes(radices: Sequence[int]) -> None:
+    """Raise :class:`StateSpaceError` unless the codes fit ``int64``."""
+    potential = math.prod(radices)
+    if potential > np.iinfo(np.int64).max:
+        raise StateSpaceError(
+            f"potential state space of {potential} states "
+            "does not fit int64 state codes; use symbolic_reachability"
+        )
+
+
+def mixed_radix_codes(digits, radices: Sequence[int]) -> np.ndarray:
+    """:func:`mixed_radix_index` of many states, as ``int64`` codes:
+    ``digits[i]`` holds every state's level-(i+1) digit.  Raises
+    :class:`DigitError` for the first one outside its radix."""
+    check_int64_codes(radices)
+    digits = np.asarray(digits, dtype=np.int64)
+    codes = np.zeros(digits.shape[1:], dtype=np.int64)
+    for level, (column, radix) in enumerate(zip(digits, radices)):
+        bad = np.flatnonzero((column < 0) | (column >= radix))
+        if bad.size:
+            raise DigitError(column[bad[0]], radix, level, int(bad[0]))
+        codes = codes * radix + column
+    return codes
+
+
+def mixed_radix_digits(codes, radices: Sequence[int]) -> List[np.ndarray]:
+    """Inverse of :func:`mixed_radix_codes`: per level, top first.  Raises
+    :class:`ValueError` for a code outside the potential space, and as
+    :func:`check_int64_codes` does."""
+    check_int64_codes(radices)
+    rest = np.asarray(codes, dtype=np.int64)
+    potential = math.prod(radices)
+    bad = np.flatnonzero((rest < 0) | (rest >= potential))
+    if bad.size:
+        raise ValueError(f"index {rest[bad[0]]} outside 0..{potential - 1}")
+    digits = []
+    for radix in reversed(radices):
+        rest, digit = np.divmod(rest, radix)
+        digits.append(digit)
+    return digits[::-1]

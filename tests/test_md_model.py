@@ -88,6 +88,10 @@ class TestRestriction:
         with pytest.raises(ModelError, match="reachable index 2 "):
             MDModel(tiny_md, reachable=[4, 2, 0, 2, 4])
 
+    def test_non_integral_reachable_index_rejected(self, tiny_md):
+        with pytest.raises(ModelError, match="reachable index 0.5 is not"):
+            MDModel(tiny_md, reachable=[0.5, 1.9, 3])
+
     def test_flat_ctmc_restricted_shape(self, tiny_md):
         model = MDModel(tiny_md, reachable=[0, 1, 2])
         assert model.flat_ctmc().num_states == 3
