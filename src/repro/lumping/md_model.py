@@ -206,11 +206,8 @@ class MDModel:
         """Decode a potential-space index into per-level substates."""
         try:
             return mixed_radix_unindex(potential_index, self.md.level_sizes)
-        except ValueError:
-            raise ModelError(
-                f"potential index {potential_index} outside "
-                f"0..{self.potential_size() - 1}"
-            ) from None
+        except ValueError as exc:
+            raise ModelError(f"potential {exc}") from None
 
     def __repr__(self) -> str:
         restriction = (

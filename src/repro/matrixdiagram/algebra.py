@@ -44,17 +44,7 @@ def transpose(md: MatrixDiagram) -> MatrixDiagram:
 
 def scale(md: MatrixDiagram, factor: float) -> MatrixDiagram:
     """The MD of ``factor * R`` (only the root is touched)."""
-    root = md.root
-    if root.terminal:
-        entries = {
-            (r, c): value * factor for r, c, value in root.entries()
-        }
-        new_root = MDNode(1, entries, terminal=True)
-    else:
-        entries = {
-            (r, c): entry.scaled(factor) for r, c, entry in root.entries()
-        }
-        new_root = MDNode(1, entries, terminal=False)
+    new_root = md.root.scaled(factor)
     if factor == 0.0:
         # The root is now empty; lower nodes would be unreachable, so the
         # zero MD keeps only a trivial root chain.

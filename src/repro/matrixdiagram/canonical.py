@@ -65,25 +65,11 @@ def canonicalize(md: MatrixDiagram) -> MatrixDiagram:
                         }
                     )
                 adjusted = MDNode(level, entries, terminal=False)
-            scale = _leading_value(adjusted)
-            if scale == 1.0 or index == md.root_index:
-                factor[index] = 1.0
-                new_nodes[index] = adjusted
-                continue
+            scale = 1.0 if index == md.root_index else _leading_value(adjusted)
             factor[index] = scale
-            inverse = 1.0 / scale
-            if adjusted.terminal:
-                scaled_entries = {
-                    (r, c): value * inverse
-                    for r, c, value in adjusted.entries()
-                }
-                new_nodes[index] = MDNode(level, scaled_entries, terminal=True)
-            else:
-                scaled_entries = {
-                    (r, c): entry.scaled(inverse)
-                    for r, c, entry in adjusted.entries()
-                }
-                new_nodes[index] = MDNode(level, scaled_entries, terminal=False)
+            new_nodes[index] = (
+                adjusted if scale == 1.0 else adjusted.scaled(1.0 / scale)
+            )
     result = MatrixDiagram(
         md.level_sizes,
         new_nodes,

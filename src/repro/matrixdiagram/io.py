@@ -16,6 +16,7 @@ from repro.errors import MatrixDiagramError
 from repro.matrixdiagram.formal_sum import FormalSum
 from repro.matrixdiagram.md import MatrixDiagram
 from repro.matrixdiagram.node import MDNode
+from repro.util.numeric import as_integer
 
 FORMAT_VERSION = 1
 
@@ -62,36 +63,44 @@ def md_to_dict(md: MatrixDiagram) -> Dict:
 
 
 def md_from_dict(data: Dict) -> MatrixDiagram:
-    """Inverse of :func:`md_to_dict`."""
+    """Inverse of :func:`md_to_dict`; raises :class:`MatrixDiagramError`
+    for a position, child, level, level size or node index that is not
+    an integer."""
     if data.get("format") != FORMAT_VERSION:
         raise MatrixDiagramError(
             f"unsupported MD format {data.get('format')!r}"
         )
     nodes: Dict[int, MDNode] = {}
-    for spec in data["nodes"]:
-        if spec["terminal"]:
-            entries = {
-                (int(r), int(c)): float(v) for r, c, v in spec["entries"]
-            }
-        else:
-            entries = {
-                (int(r), int(c)): FormalSum(
-                    {int(child): float(coeff) for child, coeff in terms}
-                )
-                for r, c, terms in spec["entries"]
-            }
-        nodes[int(spec["index"])] = MDNode(
-            int(spec["level"]), entries, terminal=bool(spec["terminal"])
-        )
+    try:
+        for spec in data["nodes"]:
+            if spec["terminal"]:
+                entries = {
+                    (as_integer(r, "row"), as_integer(c, "column")): float(v)
+                    for r, c, v in spec["entries"]
+                }
+            else:
+                entries = {
+                    (as_integer(r, "row"), as_integer(c, "column")): FormalSum(
+                        {as_integer(n, "child"): float(x) for n, x in terms}
+                    )
+                    for r, c, terms in spec["entries"]
+                }
+            nodes[as_integer(spec["index"], "node index")] = MDNode(
+                as_integer(spec["level"], "level"),
+                entries,
+                terminal=bool(spec["terminal"]),
+            )
+        root = as_integer(data["root"], "root index")
+        sizes = [as_integer(n, "level size") for n in data["level_sizes"]]
+    except ValueError as exc:
+        raise MatrixDiagramError(f"MD {exc}") from None
     labels: Optional[List[List[object]]] = None
     if data.get("labels") is not None:
         labels = [
             [tuple(l) if isinstance(l, list) else l for l in level]
             for level in data["labels"]
         ]
-    return MatrixDiagram(
-        data["level_sizes"], nodes, data["root"], level_state_labels=labels
-    )
+    return MatrixDiagram(sizes, nodes, root, level_state_labels=labels)
 
 
 def md_to_json(md: MatrixDiagram, indent: Optional[int] = None) -> str:

@@ -240,28 +240,16 @@ class MatrixDiagram:
     # rebuilding
     # ------------------------------------------------------------------
 
-    def with_nodes(
-        self,
-        replacements: Mapping[int, MDNode],
-        level_sizes: Optional[Sequence[int]] = None,
-        level_state_labels: Optional[Sequence[Sequence[object]]] = None,
-    ) -> "MatrixDiagram":
-        """A copy with some nodes replaced (and optionally new level sizes).
-
-        Used by the compositional lumping algorithm, which "replaces each
-        MD node with a possibly smaller one and does not create or delete
-        any node" (Section 5).
+    def with_nodes(self, replacements: Mapping[int, MDNode]) -> "MatrixDiagram":
+        """A copy with some nodes replaced; level sizes and labels are
+        kept.  Used to rescale nodes in place: the root by
+        :func:`repro.matrixdiagram.algebra.scale`, a sweep point's rate
+        sites by :func:`repro.sweep.spec.apply_point`.
         """
         nodes = dict(self._nodes)
         nodes.update(replacements)
-        labels = level_state_labels
-        if labels is None and level_sizes is None:
-            labels = self._labels
         return MatrixDiagram(
-            self._level_sizes if level_sizes is None else level_sizes,
-            nodes,
-            self._root,
-            level_state_labels=labels,
+            self._level_sizes, nodes, self._root, level_state_labels=self._labels
         )
 
     def __repr__(self) -> str:

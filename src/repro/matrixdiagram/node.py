@@ -184,6 +184,14 @@ class MDNode:
             terminal=False,
         )
 
+    def scaled(self, factor: float) -> "MDNode":
+        """A copy with every entry multiplied by ``factor``."""
+        if self.terminal:
+            entries = {rc: v * factor for rc, v in self._entries.items()}
+        else:
+            entries = {rc: s.scaled(factor) for rc, s in self._entries.items()}
+        return MDNode(self.level, entries, terminal=self.terminal)
+
     def __repr__(self) -> str:
         kind = "terminal" if self.terminal else "inner"
         return (

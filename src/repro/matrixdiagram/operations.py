@@ -8,10 +8,11 @@ Implements the machinery of the paper's Section 3:
   :func:`_kronecker_terms`, one per terminal node below the node.  The
   same terms back :class:`repro.matrixdiagram.MDOperator`'s products;
   :func:`flatten_entry` gives the matrix of one node entry,
-* :func:`merge_bottom_up` / :func:`merge_top_down` — merge adjacent levels
-  so an arbitrary level of interest becomes level 2 of a 3-level MD
-  (:func:`to_three_level`), including the paper's artificial level-0 /
-  level-(L+1) trick for the edge cases,
+* :func:`merge_adjacent` — merge two adjacent levels into one, the one
+  level merge: :func:`merge_bottom_up`, :func:`merge_top_down` and
+  :func:`regroup_levels` repeat it, so an arbitrary level of interest
+  becomes level 2 of a 3-level MD (:func:`to_three_level`), including
+  the paper's artificial level-0 / level-(L+1) trick for the edge cases,
 * :func:`md_equal` — semantic equality of two MDs (equal represented
   matrices).
 
@@ -24,16 +25,15 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.errors import MatrixDiagramError
 from repro.matrixdiagram.formal_sum import FormalSum
-from repro.matrixdiagram.md import MatrixDiagram
+from repro.matrixdiagram.md import MatrixDiagram, _reachable
 from repro.matrixdiagram.node import Entry, MDNode
-from repro.util.numeric import mixed_radix_index
 
 
 Term = Tuple[sparse.csr_matrix, sparse.csr_matrix]
@@ -157,72 +157,22 @@ def md_equal(a: MatrixDiagram, b: MatrixDiagram, tol: float = 1e-9) -> bool:
     return bool(np.abs(difference.data).max() <= tol)
 
 
-def _product_labels(
-    md: MatrixDiagram, first_level: int, last_level: int, limit: int = 1_000_000
-) -> Optional[List[object]]:
-    """Tuples of per-level labels for a merged level, or ``None`` if the MD
-    is unlabeled or the product would exceed ``limit`` entries."""
-    labels = md.all_level_labels()
-    if labels is None:
-        return None
-    size = math.prod(md.level_sizes[first_level - 1 : last_level])
-    if size > limit:
-        return None
-    merged: List[object] = [()]
-    for level in range(first_level, last_level + 1):
-        merged = [
-            prefix + (label,)
-            for prefix in merged
-            for label in labels[level - 1]
-        ]
-    return merged
-
-
 def merge_bottom_up(md: MatrixDiagram, from_level: int) -> MatrixDiagram:
-    """Merge levels ``from_level..L`` into a single terminal level.
-
-    Every node at ``from_level`` is replaced by a terminal node holding its
-    flattened matrix; nodes above are unchanged.  The represented matrix is
-    unchanged (Section 3's bottom-up merging argument).
+    """Merge levels ``from_level..L`` into a single terminal level
+    (Section 3's bottom-up merging argument): :func:`merge_adjacent` at
+    ``from_level`` until it is the last level.  The represented matrix
+    is unchanged.
     """
-    num_levels = md.num_levels
-    if not 1 <= from_level <= num_levels:
+    if not 1 <= from_level <= md.num_levels:
         raise MatrixDiagramError(f"invalid from_level {from_level}")
-    if from_level == num_levels:
-        return md
-    sizes = md.level_sizes
-    merged_size = math.prod(sizes[from_level - 1 :])
-    new_sizes = sizes[: from_level - 1] + (merged_size,)
-
-    new_nodes: Dict[int, MDNode] = {}
-    for level in range(1, from_level):
-        for index, node in md.nodes_at(level).items():
-            new_nodes[index] = node
-    for index in md.nodes_at(from_level):
-        flat = flatten_node(md, index).tocoo()
-        entries = {
-            (int(r), int(c)): float(v)
-            for r, c, v in zip(flat.row, flat.col, flat.data)
-        }
-        new_nodes[index] = MDNode(from_level, entries, terminal=True)
-
-    labels = md.all_level_labels()
-    new_labels = None
-    if labels is not None:
-        merged_labels = _product_labels(md, from_level, num_levels)
-        if merged_labels is not None:
-            new_labels = labels[: from_level - 1] + [merged_labels]
-    return MatrixDiagram(
-        new_sizes, new_nodes, md.root_index, level_state_labels=new_labels
-    )
+    for _ in range(md.num_levels - from_level):
+        md = merge_adjacent(md, from_level)
+    return md
 
 
 def merge_top_down(md: MatrixDiagram, through_level: int) -> MatrixDiagram:
-    """Merge levels ``1..through_level`` into a single new root level.
-
-    The new root's entries are indexed by the mixed-radix encoding of the
-    merged substate tuples; its formal sums reference the (unchanged) nodes
-    at level ``through_level + 1``, whose levels shift up accordingly.
+    """Merge levels ``1..through_level`` into a single root level:
+    :func:`merge_adjacent` at level 1, ``through_level - 1`` times.
     Requires ``through_level < L``.
     """
     num_levels = md.num_levels
@@ -230,72 +180,20 @@ def merge_top_down(md: MatrixDiagram, through_level: int) -> MatrixDiagram:
         raise MatrixDiagramError(
             f"through_level must be in 1..{num_levels - 1}, got {through_level}"
         )
-    if through_level == 1:
-        return md
-    sizes = md.level_sizes
-
-    # Accumulate, over all paths through levels 1..through_level, the
-    # formal sums reaching each (row-prefix, col-prefix) pair.
-    current: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], FormalSum] = {
-        ((), ()): FormalSum.of(md.root_index, 1.0)
-    }
-    for _level in range(1, through_level + 1):
-        nxt: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], FormalSum] = {}
-        for (row_prefix, col_prefix), formal_sum in current.items():
-            for node_index, coefficient in formal_sum.items():
-                node = md.node(node_index)
-                for r, c, entry in node.entries():
-                    key = (row_prefix + (r,), col_prefix + (c,))
-                    contribution = entry.scaled(coefficient)
-                    existing = nxt.get(key)
-                    nxt[key] = (
-                        contribution
-                        if existing is None
-                        else existing + contribution
-                    )
-        current = nxt
-
-    merged_size = math.prod(sizes[:through_level])
-    new_sizes = (merged_size,) + sizes[through_level:]
-    radices = sizes[:through_level]
-    root_entries = {
-        tuple(mixed_radix_index(p, radices) for p in prefixes): formal_sum
-        for prefixes, formal_sum in current.items()
-        if not formal_sum.is_zero()
-    }
-
-    new_nodes: Dict[int, MDNode] = {}
-    for level in range(through_level + 1, num_levels + 1):
-        for index, node in md.nodes_at(level).items():
-            new_level = level - through_level + 1
-            new_nodes[index] = MDNode(
-                new_level,
-                {rc: e for r, c, e in node.entries() for rc in [(r, c)]},
-                terminal=node.terminal,
-            )
-    new_root = max(new_nodes, default=0) + 1
-    new_nodes[new_root] = MDNode(1, root_entries, terminal=num_levels == through_level)
-
-    labels = md.all_level_labels()
-    new_labels = None
-    if labels is not None:
-        merged_labels = _product_labels(md, 1, through_level)
-        if merged_labels is not None:
-            new_labels = [merged_labels] + labels[through_level:]
-    return MatrixDiagram(
-        new_sizes, new_nodes, new_root, level_state_labels=new_labels
-    )
+    for _ in range(through_level - 1):
+        md = merge_adjacent(md, 1)
+    return md
 
 
 def merge_adjacent(md: MatrixDiagram, level: int) -> MatrixDiagram:
     """Merge levels ``level`` and ``level + 1`` into one level.
 
     The merged level's substates are the mixed-radix pairs
-    ``s * |S_{level+1}| + s'``; entries compose the coefficient of the
-    upper entry with the lower node's entries, so the represented matrix
-    is unchanged.  Unlike :func:`merge_bottom_up` / :func:`merge_top_down`
-    this works at any position, which makes arbitrary regroupings possible
-    (see :func:`regroup_levels`).
+    ``s * |S_{level+1}| + s'``, labelled ``(upper, lower)``; entries
+    compose the coefficient of the upper entry with the lower node's
+    entries, so the represented matrix is unchanged.  The result is
+    quasi-reduced and keeps the root index.  A merged level of more than
+    1,000,000 substates leaves the result unlabelled.
     """
     num_levels = md.num_levels
     if not 1 <= level < num_levels:
@@ -342,10 +240,15 @@ def merge_adjacent(md: MatrixDiagram, level: int) -> MatrixDiagram:
                 {(r, c): e for r, c, e in node.entries()},
                 terminal=node.terminal,
             )
+    # A merged entry can cancel or underflow to zero and orphan the nodes
+    # it led to.
+    reachable = _reachable(new_nodes, md.root_index)
+    new_nodes = {i: n for i, n in new_nodes.items() if i in reachable}
 
     labels = md.all_level_labels()
     new_labels = None
-    if labels is not None:
+    # One label tuple per substate: past 10^6 they would crowd memory.
+    if labels is not None and merged_size <= 1_000_000:
         merged_labels = [
             (upper, lower)
             for upper in labels[level - 1]
@@ -386,15 +289,12 @@ def regroup_levels(md: MatrixDiagram, groups) -> MatrixDiagram:
         parsed.append(group)
     if expected != md.num_levels + 1:
         raise MatrixDiagramError("groups must cover every level")
-    result = md
-    # Merge within each group, front to back; account for level shifts.
-    offset = 0
-    for group in parsed:
-        start = group[0] - offset
+    # Front to back: each group before the k-th is one level by now, so
+    # the k-th starts at level k.
+    for position, group in enumerate(parsed, start=1):
         for _ in range(len(group) - 1):
-            result = merge_adjacent(result, start)
-            offset += 1
-    return result
+            md = merge_adjacent(md, position)
+    return md
 
 
 def add_artificial_top(md: MatrixDiagram) -> MatrixDiagram:
@@ -438,6 +338,8 @@ def add_artificial_bottom(md: MatrixDiagram) -> MatrixDiagram:
                 new_nodes[index] = MDNode(level, entries, terminal=False)
             else:
                 new_nodes[index] = node
+    if not any(n.num_entries for n in md.nodes_at(md.num_levels).values()):
+        del new_nodes[unit_index]  # a zero MD: no entry would reach it
     labels = md.all_level_labels()
     new_labels = labels + [["*"]] if labels is not None else None
     return MatrixDiagram(

@@ -35,6 +35,7 @@ from repro.service.dispatcher import Dispatcher, DispatcherConfig
 from repro.service.spec import (
     SOLVE_CHOICES,
     SpecError,
+    model_from_spec,
     solve_params,
     spec_from_args,
     spec_summary,
@@ -53,7 +54,9 @@ def _open(store_root: str) -> Tuple[JobStore, ResultCache]:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     spec = spec_from_args(args)
-    solve_params(spec)  # a bad solve parameter fails here, not in a worker
+    # A bad solve parameter or model fails here, not in a worker.
+    solve_params(spec)
+    model_from_spec(spec)
     store, cache = _open(args.store)
     outcome = store.submit(
         spec, queue_limit=args.queue_limit, cache=cache

@@ -123,7 +123,8 @@ def spec_from_model(
 
 
 def model_from_spec(spec: dict) -> MDModel:
-    """Rebuild the :class:`MDModel` a spec describes."""
+    """Rebuild the :class:`MDModel` a spec describes; raises
+    :class:`SpecError` for a spec the MD or model constructors reject."""
     try:
         if spec.get("format") != SPEC_FORMAT:
             raise SpecError(
@@ -139,7 +140,7 @@ def model_from_spec(spec: dict) -> MDModel:
         )
     except SpecError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
         raise SpecError(f"malformed job spec: {exc}") from exc
 
 

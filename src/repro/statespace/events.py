@@ -68,7 +68,11 @@ class LevelSpace:
             ) from None
 
     def label(self, index: int) -> Hashable:
-        """Label at ``index``; raises if ``index`` is outside the level."""
+        """Label at ``index``; raises unless it is an integer in the level."""
+        try:
+            index = numeric.as_integer(index, "substate")
+        except ValueError as exc:
+            raise StateSpaceError(f"{exc} (level {self.name!r})") from None
         if not 0 <= index < len(self._labels):
             raise StateSpaceError(
                 f"substate {index} outside level {self.name!r} "
@@ -254,10 +258,8 @@ class EventModel:
         """Inverse of :meth:`encode`."""
         try:
             return numeric.mixed_radix_unindex(index, self.level_sizes())
-        except ValueError:
-            raise StateSpaceError(
-                f"state index {index} outside 0..{self.potential_size() - 1}"
-            ) from None
+        except ValueError as exc:
+            raise StateSpaceError(f"state {exc}") from None
 
     def state_labels(self, state: Sequence[int]) -> Tuple[Hashable, ...]:
         """The label tuple of a global state given by indices; raises
@@ -273,8 +275,8 @@ class EventModel:
         """:meth:`encode` of many states at once, as ``int64`` codes.
 
         Raises :class:`StateSpaceError` naming the level when a state has
-        the wrong number of components or a substate outside its level —
-        such a state has no code of its own (it would alias another).
+        the wrong number of components or a substate that is not an integer
+        in its level — such a state has no code of its own.
         """
         sizes = self.level_sizes()
         wrong = next((s for s in states if len(s) != len(sizes)), None)
@@ -283,13 +285,14 @@ class EventModel:
                 f"state {tuple(wrong)} has {len(wrong)} components, "
                 f"expected one per level ({len(sizes)})"
             )
-        digits = np.array(states, dtype=np.int64).reshape(-1, len(sizes))
+        digits = np.array(states).reshape(-1, len(sizes))
         try:
             return numeric.mixed_radix_codes(digits.T, sizes)
         except numeric.DigitError as bad:
+            problem = "outside" if bad.integral else "that is not an integer, at"
             raise StateSpaceError(
                 f"state {tuple(states[bad.row])} has substate {bad.digit} "
-                f"outside level {bad.level + 1} "
+                f"{problem} level {bad.level + 1} "
                 f"({self.levels[bad.level].name!r}, size {sizes[bad.level]})"
             ) from None
 

@@ -5,9 +5,9 @@ format — model, solve parameters), a set of **rate sites** (named lists
 of MD node indices whose entries carry the swept rates), and either an
 explicit point list or a per-site factor grid (expanded as a cartesian
 product in sorted-site order).  Each point scales every entry of its
-sites' nodes by the point's factor — terminal entries directly, formal
-sums through :meth:`~repro.matrixdiagram.formal_sum.FormalSum.scaled` —
-producing a *derived model* and, through
+sites' nodes by the point's factor
+(:meth:`~repro.matrixdiagram.node.MDNode.scaled`), producing a *derived
+model* and, through
 :func:`~repro.service.spec.spec_from_model`, a derived job spec whose
 canonical digest is the service cache key.  Identical points therefore
 coalesce across sweeps exactly like identical submissions coalesce in
@@ -29,7 +29,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import SweepError
 from repro.lumping.md_model import MDModel
 from repro.matrixdiagram.md import MatrixDiagram
-from repro.matrixdiagram.node import MDNode
 from repro.service.spec import (
     canonical_digest,
     solve_params,
@@ -221,26 +220,12 @@ def apply_point(
                     "model does not have"
                 )
             per_node[index] = per_node.get(index, 1.0) * factor
-    replacements: Dict[int, MDNode] = {}
-    for index, factor in sorted(per_node.items()):
-        if factor == 1.0:
-            continue
-        node = md.node(index)
-        if node.terminal:
-            entries: Dict[Tuple[int, int], object] = {
-                (row, col): float(entry) * factor
-                for row, col, entry in node.entries()
-            }
-        else:
-            entries = {
-                (row, col): entry.scaled(factor)
-                for row, col, entry in node.entries()
-            }
-        replacements[index] = MDNode(node.level, entries, node.terminal)
-    if not replacements:
-        new_md = md
-    else:
-        new_md = md.with_nodes(replacements)
+    replacements = {
+        index: md.node(index).scaled(factor)
+        for index, factor in sorted(per_node.items())
+        if factor != 1.0
+    }
+    new_md = md.with_nodes(replacements) if replacements else md
     return MDModel(
         new_md,
         level_rewards=model.level_rewards,

@@ -175,11 +175,36 @@ def extended_jacobi_refine(
 
 
 class DigitError(ValueError):
-    """A ``digit`` outside its radix, at ``level`` (0-based) of ``row``."""
+    """A ``digit`` at ``level`` (0-based) of ``row`` that lies outside its
+    radix or, unless ``integral``, is not an integer."""
 
-    def __init__(self, digit, radix, level, row) -> None:
-        super().__init__(f"digit {digit} out of range for radix {radix}")
-        self.digit, self.level, self.row = digit, level, row
+    def __init__(self, digit, radix, level, row, integral) -> None:
+        problem = f"out of range for radix {radix}" if integral else "is not an integer"
+        super().__init__(f"digit {digit} {problem}")
+        self.digit, self.level, self.row, self.integral = digit, level, row, integral
+
+
+def as_integer(value, name: str = "index") -> int:
+    """``value`` as an ``int``: an integral float passes, anything else
+    raises :class:`ValueError` rather than being truncated."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} {value} is not an integer")
+
+
+def _int64(values: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``values`` as ``int64``, and the flat positions of those that are
+    not integers in ``0..size - 1``.  An integral float is an integer; an
+    integer array is one by its dtype, at no cost per element."""
+    with np.errstate(invalid="ignore"):
+        whole = values.astype(np.int64, copy=False)
+    bad = (whole < 0) | (whole >= size)
+    if values.dtype.kind not in "iub":
+        bad |= whole != values
+    return whole, np.flatnonzero(bad)
 
 
 def mixed_radix_index(digits: Sequence[int], radices: Sequence[int]) -> int:
@@ -189,6 +214,7 @@ def mixed_radix_index(digits: Sequence[int], radices: Sequence[int]) -> int:
     level's local state space and ``radices[i]`` is that space's size.  The
     top level is the most significant digit, matching the nested block
     structure of a flattened matrix diagram (Section 3 of the paper).
+    Raises :class:`ValueError` for a digit not an integer in its radix.
 
     >>> mixed_radix_index((1, 0, 2), (2, 3, 4))
     14
@@ -197,6 +223,7 @@ def mixed_radix_index(digits: Sequence[int], radices: Sequence[int]) -> int:
         raise ValueError("digits and radices must have equal length")
     index = 0
     for digit, radix in zip(digits, radices):
+        digit = as_integer(digit, "digit")
         if not 0 <= digit < radix:
             raise ValueError(f"digit {digit} out of range for radix {radix}")
         index = index * radix + digit
@@ -204,19 +231,20 @@ def mixed_radix_index(digits: Sequence[int], radices: Sequence[int]) -> int:
 
 
 def mixed_radix_unindex(index: int, radices: Sequence[int]) -> Tuple[int, ...]:
-    """Inverse of :func:`mixed_radix_index`.
+    """Inverse of :func:`mixed_radix_index`.  Raises :class:`ValueError`
+    for an index not an integer in the potential space.
 
     >>> mixed_radix_unindex(14, (2, 3, 4))
     (1, 0, 2)
     """
-    if index < 0:
-        raise ValueError("index must be non-negative")
+    index = as_integer(index)
+    potential = math.prod(radices)
+    if not 0 <= index < potential:
+        raise ValueError(f"index {index} outside 0..{potential - 1}")
     digits = []
     for radix in reversed(radices):
         digits.append(index % radix)
         index //= radix
-    if index:
-        raise ValueError("index out of range for the given radices")
     return tuple(reversed(digits))
 
 
@@ -245,28 +273,33 @@ def check_int64_codes(radices: Sequence[int]) -> None:
 def mixed_radix_codes(digits, radices: Sequence[int]) -> np.ndarray:
     """:func:`mixed_radix_index` of many states, as ``int64`` codes:
     ``digits[i]`` holds every state's level-(i+1) digit.  Raises
-    :class:`DigitError` for the first one outside its radix."""
+    :class:`DigitError` for the first one not an integer in its radix."""
     check_int64_codes(radices)
-    digits = np.asarray(digits, dtype=np.int64)
+    digits = np.asarray(digits)
     codes = np.zeros(digits.shape[1:], dtype=np.int64)
     for level, (column, radix) in enumerate(zip(digits, radices)):
-        bad = np.flatnonzero((column < 0) | (column >= radix))
+        whole, bad = _int64(column, radix)
         if bad.size:
-            raise DigitError(column[bad[0]], radix, level, int(bad[0]))
-        codes = codes * radix + column
+            row, digit = int(bad[0]), column.flat[bad[0]]
+            raise DigitError(digit, radix, level, row, whole.flat[row] == digit)
+        codes = codes * radix + whole
     return codes
 
 
 def mixed_radix_digits(codes, radices: Sequence[int]) -> List[np.ndarray]:
     """Inverse of :func:`mixed_radix_codes`: per level, top first.  Raises
-    :class:`ValueError` for a code outside the potential space, and as
-    :func:`check_int64_codes` does."""
+    :class:`ValueError` for a code that is not an integer or lies outside
+    the potential space, and as :func:`check_int64_codes` does."""
     check_int64_codes(radices)
-    rest = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes)
     potential = math.prod(radices)
-    bad = np.flatnonzero((rest < 0) | (rest >= potential))
+    rest, bad = _int64(codes, potential)
     if bad.size:
-        raise ValueError(f"index {rest[bad[0]]} outside 0..{potential - 1}")
+        code = codes.flat[bad[0]]
+        problem = "is not an integer"
+        if rest.flat[bad[0]] == code:
+            problem = f"outside 0..{potential - 1}"
+        raise ValueError(f"index {code} {problem}")
     digits = []
     for radix in reversed(radices):
         rest, digit = np.divmod(rest, radix)

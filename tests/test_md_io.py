@@ -77,6 +77,51 @@ class TestSerialization:
         with pytest.raises(MatrixDiagramError):
             md_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "row",
+            "column",
+            "child",
+            "level",
+            "node index",
+            "root index",
+            "level size",
+        ],
+    )
+    def test_non_integral_index_rejected(self, sample_md, name):
+        data = md_to_dict(sample_md)
+        root = next(n for n in data["nodes"] if n["index"] == data["root"])
+        entry = root["entries"][0]
+        if name == "row":
+            entry[0] = 0.5
+        elif name == "column":
+            entry[1] = 1.5
+        elif name == "child":
+            entry[2] = [[child + 0.5, coeff] for child, coeff in entry[2]]
+        elif name == "level":
+            root["level"] = 1.5
+        elif name == "node index":
+            root["index"] += 0.5
+        elif name == "root index":
+            data["root"] += 0.5
+        else:
+            data["level_sizes"][0] += 0.5
+        message = f"MD {name} .* is not an integer"
+        with pytest.raises(MatrixDiagramError, match=message):
+            md_from_dict(data)
+
+    def test_integral_float_indices_load(self, sample_md):
+        data = md_to_dict(sample_md)
+        root = next(n for n in data["nodes"] if n["index"] == data["root"])
+        root["index"], root["level"] = float(root["index"]), 1.0
+        entry = root["entries"][0]
+        entry[0] = float(entry[0])
+        entry[2] = [[float(child), coeff] for child, coeff in entry[2]]
+        data["root"] = float(data["root"])
+        data["level_sizes"] = [float(n) for n in data["level_sizes"]]
+        assert md_to_dict(md_from_dict(data)) == md_to_dict(sample_md)
+
     def test_lumped_md_roundtrips(self, small_tandem):
         from repro.lumping import compositional_lump
 

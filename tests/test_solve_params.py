@@ -1,13 +1,17 @@
-"""A bad solve parameter fails where the spec enters, and a bad lumping
-key never turns lumping off.
+"""A bad solve parameter or model fails where the spec enters, and a bad
+lumping key never turns lumping off.
 
 Every door a spec comes through checks its solve parameters against
 ``SOLVE_CHOICES``: ``solve_params`` (the worker and the sweep's
 planning), ``repro.service submit`` and both CLIs' flags.  The library
 checks the lumping key before any level is lumped, so graceful
 degradation cannot turn the error into identity partitions.
+``repro.service submit`` also rebuilds the model, so a spec whose MD
+the constructors reject is refused with :class:`SpecError` before any
+job is written.
 """
 
+import copy
 import json
 import os
 
@@ -17,7 +21,12 @@ from repro.analysis import lump_and_solve
 from repro.errors import LumpingError
 from repro.lumping import compositional_lump
 from repro.service.__main__ import main as service_main
-from repro.service.spec import SpecError, demo_spec, solve_params
+from repro.service.spec import (
+    SpecError,
+    demo_spec,
+    model_from_spec,
+    solve_params,
+)
 from repro.service.worker import solve_spec_certified
 from repro.sweep.__main__ import main as sweep_main
 from repro.sweep.engine import SweepEngine
@@ -131,3 +140,34 @@ class TestServiceSubmit:
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "svc")
+
+
+def _missing_node_spec(spec):
+    """``spec`` with an inner entry that points at node 999."""
+    spec = copy.deepcopy(spec)
+    node = next(n for n in spec["md"]["nodes"] if not n["terminal"])
+    node["entries"][0][2] = [[999, 1.0]]
+    return spec
+
+
+class TestMalformedModel:
+    def test_missing_node_is_a_spec_error(self, redundant_spec):
+        with pytest.raises(SpecError, match="malformed job spec: .*node 999"):
+            model_from_spec(_missing_node_spec(redundant_spec))
+
+    def test_non_integral_entry_row_is_a_spec_error(self, redundant_spec):
+        spec = copy.deepcopy(redundant_spec)
+        spec["md"]["nodes"][0]["entries"][0][0] = 0.5
+        with pytest.raises(SpecError, match="MD row 0.5 is not an integer"):
+            model_from_spec(spec)
+
+    def test_submit_writes_no_job(self, redundant_spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_missing_node_spec(redundant_spec)))
+        store = tmp_path / "svc"
+        status = service_main(
+            ["submit", "--store", str(store), "--spec", str(path)]
+        )
+        assert status == 1
+        assert "malformed job spec" in capsys.readouterr().err
+        assert not os.path.exists(store)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import LumpingError, ModelError
+from repro.errors import LumpingError, ModelError, StateSpaceError
 from repro.lumping import MDModel, compositional_lump
 from repro.lumping.compositional import project_indices
 from repro.matrixdiagram import md_from_kronecker_terms
@@ -141,6 +141,107 @@ def test_codec_range_checks():
         mixed_radix_digits([0, 6], (2, 3))
     with pytest.raises(ValueError):
         mixed_radix_unindex(-1, (2, 3))
+
+
+# ----------------------------------------------------------------------
+# non-integral values raise instead of truncating
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [0.7, 1.5, float("nan"), float("inf")])
+def test_codec_rejects_non_integers(bad):
+    sizes = (3, 2)
+    with pytest.raises(ValueError, match="digit .* is not an integer"):
+        mixed_radix_index((bad, 1), sizes)
+    with pytest.raises(ValueError, match="index .* is not an integer"):
+        mixed_radix_unindex(bad, sizes)
+    with pytest.raises(ValueError, match="digit .* is not an integer"):
+        mixed_radix_codes([[0, bad], [1, 1]], sizes)
+    with pytest.raises(ValueError, match="index .* is not an integer"):
+        mixed_radix_digits([1, bad], sizes)
+
+
+def test_codec_takes_integral_floats():
+    sizes = (3, 2)
+    assert mixed_radix_index((1.0, 1), sizes) == 3
+    assert mixed_radix_unindex(3.0, sizes) == (1, 1)
+    codes = mixed_radix_codes([[1.0, 2.0], [1.0, 0.0]], sizes)
+    assert codes.tolist() == [3, 4]
+    assert [d.tolist() for d in mixed_radix_digits([3.0], sizes)] == [[1], [1]]
+
+
+def _three_by_two():
+    levels = [LevelSpace("a", range(3)), LevelSpace("b", range(2))]
+    return EventModel(levels, [], [0, 0]), MDModel(_md((3, 2)))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda model, _md_model: model.encode_states([(0.7, 1.2)]),
+            StateSpaceError,
+            r"state \(0.7, 1.2\) has substate 0.7 that is not an integer, "
+            "at level 1",
+        ),
+        (
+            lambda model, _md_model: reachable_bfs(model, initial=[(1.9, 0)]),
+            StateSpaceError,
+            "substate 1.9 that is not an integer",
+        ),
+        (
+            lambda model, _md_model: model.encode((0.7, 1)),
+            StateSpaceError,
+            "substate 0.7 is not an integer",
+        ),
+        (
+            lambda model, _md_model: model.levels[1].label(1.2),
+            StateSpaceError,
+            "substate 1.2 is not an integer",
+        ),
+        (
+            lambda model, _md_model: model.decode(1.5),
+            StateSpaceError,
+            "state index 1.5 is not an integer",
+        ),
+        (
+            lambda _model, md_model: md_model.state_tuple(1.5),
+            ModelError,
+            "potential index 1.5 is not an integer",
+        ),
+        (
+            lambda _model, md_model: compositional_lump(
+                md_model
+            ).project_potential_index(1.5),
+            LumpingError,
+            "potential index 1.5 is not an integer",
+        ),
+    ],
+    ids=[
+        "encode_states",
+        "bfs_seed",
+        "encode",
+        "label",
+        "decode",
+        "state_tuple",
+        "project_potential_index",
+    ],
+)
+def test_non_integral_state_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call(*_three_by_two())
+
+
+def test_integral_float_states_are_their_integers():
+    model, md_model = _three_by_two()
+    assert model.encode_states([(1.0, 1.0)]).tolist() == [3]
+    assert model.encode((1.0, 1)) == 3
+    assert model.decode(3.0) == (1, 1)
+    assert md_model.state_tuple(3.0) == (1, 1)
+    lumped = compositional_lump(md_model)
+    assert lumped.project_potential_index(3.0) == (
+        lumped.project_potential_index(3)
+    )
 
 
 # ----------------------------------------------------------------------
